@@ -9,9 +9,11 @@ thrasher from t=1s at 20 req/s) and asserts the two defense gates:
   undefended run's,
 * **defense-off overhead** — a fleet with no attacks and the defense
   layer off must sustain at least ``MIN_OFF_RATE_RATIO`` of the most
-  recent 4-node events/s recorded in ``BENCH_serve.json`` (skipped
-  when no trajectory exists): carrying the defense code paths may not
-  tax undefended runs.
+  recent 4-node completed requests/s recorded in ``BENCH_serve.json``
+  (skipped when no trajectory exists): carrying the defense code paths
+  may not tax undefended runs.  The rate counts requests, not DES
+  events, so a loop that pops fewer events for the same work does not
+  read as a slowdown.
 
 A determinism check runs the defended config twice and requires
 byte-identical reports before any number is trusted.
@@ -53,7 +55,7 @@ DEFENSE_BASE = dict(
 )
 
 # The undefended baseline config bench_serve.py records at N=4 —
-# identical knobs, so the events/s comparison isolates the defense
+# identical knobs, so the requests/s comparison isolates the defense
 # layer's overhead on runs that never touch it.
 OFF_BASE = dict(
     router="least-loaded",
@@ -82,7 +84,7 @@ def _append_trajectory(record: dict) -> None:
 
 
 def _last_serve_fleet_rate(nodes: int):
-    """Most recent bench_serve events/s for a ``nodes``-node fleet."""
+    """Most recent bench_serve requests/s for a ``nodes``-node fleet."""
     if not SERVE_TRAJECTORY.exists():
         return None
     try:
@@ -94,7 +96,7 @@ def _last_serve_fleet_rate(nodes: int):
     for record in reversed(history):
         for row in record.get("cluster_scaling", ()):
             if row.get("nodes") == nodes:
-                return row.get("events_per_s")
+                return row["completed"] / row["wall_s"]
     return None
 
 
@@ -157,7 +159,7 @@ def test_defense_off_overhead():
     events = report.generated + sum(
         r.events["popped"] for r in report.node_reports
     )
-    rate = events / elapsed
+    rate = report.completed / elapsed
 
     record = {
         "created_at": datetime.now(timezone.utc).isoformat(
@@ -165,9 +167,13 @@ def test_defense_off_overhead():
         ),
         "config": {k: OFF_BASE[k] for k in sorted(OFF_BASE)},
         "events": events,
+        "completed": report.completed,
         "wall_s": round(elapsed, 4),
-        "events_per_s": round(rate, 1),
-        "serve_baseline_events_per_s": baseline,
+        "events_per_s": round(events / elapsed, 1),
+        "completed_per_s": round(rate, 1),
+        "serve_baseline_completed_per_s": (
+            None if baseline is None else round(baseline, 1)
+        ),
     }
     _append_trajectory(record)
     print(f"bench_defense off: {json.dumps(record)}")
@@ -187,7 +193,7 @@ def test_defense_off_overhead():
         return
     floor = baseline * MIN_OFF_RATE_RATIO
     assert rate >= floor, (
-        f"defense-off overhead: {rate:.0f} events/s, below "
+        f"defense-off overhead: {rate:.0f} requests/s, below "
         f"{floor:.0f} ({MIN_OFF_RATE_RATIO}x the recorded "
         f"{baseline:.0f})"
     )

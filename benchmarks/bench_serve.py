@@ -2,10 +2,10 @@
 
 Measures, on a fixed 12 req/s Poisson workload:
 
-* **simulator throughput** — processed DES events per second of wall
+* **simulator throughput** — completed requests per second of wall
   time under ``--policy none`` (pure queueing, no controller), with a
   warm rate cache so the number reflects the event loop rather than
-  first-touch model solves,
+  first-touch model solves (best of ``TIMED_PASSES`` passes),
 * **discovery cost** — one cold ``--policy adaptive`` run: first-touch
   classification probes and way sweeps for every class (recorded, not
   asserted — it is a once-per-deployment cost),
@@ -15,10 +15,16 @@ Measures, on a fixed 12 req/s Poisson workload:
 
 and asserts the two guard rails:
 
-* the warm event loop sustains >= 500 events/s,
+* the warm event loop sustains >= ``BASELINE_SLACK`` of the last
+  recorded single-node requests/s,
 * steady-state adaptive control costs <= 3x the uncontrolled run
   (per-class analyses are cached after discovery, so a control tick
   is a dictionary merge plus an occasional rate re-solve).
+
+Every throughput gate counts completed requests, not DES events: the
+event count is an implementation detail (a loop that schedules fewer
+superseded completions pops fewer events for the same work), so a
+rate per event would read an event-economy gain as a slowdown.
 
 Fleet benches ride along: least-loaded scaling rows at N=1/2/4 with
 anti-scaling and trajectory-baseline gates, and hash-router
@@ -43,13 +49,14 @@ from datetime import datetime, timezone
 from repro.cluster import Cluster, ClusterConfig
 from repro.serve import QueryService, ServiceConfig
 
-MIN_EVENTS_PER_S = 500.0
 MAX_CONTROLLER_OVERHEAD = 3.0
+TIMED_PASSES = 5
 
-# Fleet scaling guards: consecutive node counts must not lose more
-# than 10% events/s (the anti-scaling regression this catches dropped
-# N=4 to 0.81x of N=2), and N=4 must stay within 20% of the last
-# recorded trajectory baseline.
+# Throughput guards, in completed requests per wall second: the warm
+# single-node loop and the N=4 fleet must stay within 20% of the last
+# recorded trajectory value, and consecutive fleet sizes must not lose
+# more than 10% (the anti-scaling regression this catches dropped N=4
+# to 0.81x of N=2).
 MIN_SCALING_SLACK = 0.9
 BASELINE_SLACK = 0.8
 MAX_SAMPLED_SMOKE_WALL_S = 60.0
@@ -77,20 +84,33 @@ def _timed_run(policy: str, rate_cache: dict, controller=None):
     return time.perf_counter() - started, report, service
 
 
+def _history() -> list:
+    if not TRAJECTORY.exists():
+        return []
+    try:
+        return json.loads(TRAJECTORY.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        return []
+
+
 def _append_trajectory(record: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        try:
-            history = json.loads(TRAJECTORY.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            history = []
+    history = _history()
     history.append(record)
     TRAJECTORY.write_text(
         json.dumps(history, indent=2) + "\n", encoding="utf-8"
     )
 
 
+def _last_single_node_record():
+    """Most recent warm single-node record (it carries ``none_s``)."""
+    for record in reversed(_history()):
+        if "none_s" in record:
+            return record
+    return None
+
+
 def test_serve_event_rate_and_controller_overhead():
+    baseline = _last_single_node_record()
     rate_cache: dict = {}
 
     # Determinism gate: same config from a cold start -> same bytes
@@ -103,8 +123,11 @@ def test_serve_event_rate_and_controller_overhead():
     # Warm the shared rate cache for the timed passes.
     _timed_run("none", rate_cache)
 
-    # Event-loop throughput: warm cache, no controller.
-    none_s, none_report, _ = _timed_run("none", rate_cache)
+    # Event-loop throughput: warm cache, no controller, best pass.
+    none_s, none_report, _ = min(
+        (_timed_run("none", rate_cache) for _ in range(TIMED_PASSES)),
+        key=lambda run: run[0],
+    )
 
     # Discovery: cold controller pays per-class probes and sweeps
     # once; this also warms the adaptive-composition cache entries.
@@ -124,7 +147,8 @@ def test_serve_event_rate_and_controller_overhead():
     )
 
     events = none_report.events["popped"]
-    events_per_s = events / none_s
+    completed = none_report.completed
+    completed_per_s = completed / none_s
     controller_overhead = adaptive_s / none_s
 
     record = {
@@ -133,7 +157,9 @@ def test_serve_event_rate_and_controller_overhead():
         ),
         "config": {k: BASE[k] for k in sorted(BASE)},
         "events": events,
-        "events_per_s": round(events_per_s, 1),
+        "events_per_s": round(events / none_s, 1),
+        "completed": completed,
+        "completed_per_s": round(completed_per_s, 1),
         "none_s": round(none_s, 4),
         "discovery_s": round(discovery_s, 4),
         "adaptive_steady_s": round(adaptive_s, 4),
@@ -146,11 +172,22 @@ def test_serve_event_rate_and_controller_overhead():
     _append_trajectory(record)
     print(f"bench_serve: {json.dumps(record)}")
 
-    assert events_per_s >= MIN_EVENTS_PER_S, (
-        f"warm event loop: {events_per_s:.0f} events/s "
-        f"({events} events in {none_s:.3f}s), "
-        f"need >= {MIN_EVENTS_PER_S:.0f}"
-    )
+    if baseline is not None:
+        assert baseline["config"] == record["config"], (
+            "the last single-node record ran a different config: "
+            f"{baseline['config']} vs {record['config']}"
+        )
+        # Records before the request-rate gate lack ``completed``; the
+        # count is a pure function of the (matching) config.
+        recorded = baseline.get("completed", completed) / (
+            baseline["none_s"]
+        )
+        floor = recorded * BASELINE_SLACK
+        assert completed_per_s >= floor, (
+            f"warm event loop: {completed_per_s:.0f} requests/s "
+            f"({completed} in {none_s:.4f}s), below {floor:.0f} "
+            f"({BASELINE_SLACK}x the last recorded {recorded:.0f})"
+        )
     assert controller_overhead <= MAX_CONTROLLER_OVERHEAD, (
         f"steady-state adaptive control: {controller_overhead:.2f}x "
         f"the uncontrolled run ({adaptive_s:.3f}s vs {none_s:.3f}s), "
@@ -172,17 +209,11 @@ CLUSTER_BASE = dict(
 
 
 def _last_recorded_fleet_rate(nodes: int):
-    """Most recent trajectory events/s for a ``nodes``-node fleet."""
-    if not TRAJECTORY.exists():
-        return None
-    try:
-        history = json.loads(TRAJECTORY.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    for record in reversed(history):
+    """Most recent trajectory requests/s for a ``nodes``-node fleet."""
+    for record in reversed(_history()):
         for row in record.get("cluster_scaling", ()):
             if row.get("nodes") == nodes:
-                return row.get("events_per_s")
+                return row["completed"] / row["wall_s"]
     return None
 
 
@@ -200,18 +231,19 @@ def _timed_cluster(nodes: int):
 
 
 def test_cluster_fleet_scaling():
-    """Cluster scaling row: fleet events/s at N=1, 2, 4 nodes.
+    """Cluster scaling row: fleet requests/s at N=1, 2, 4 nodes.
 
-    The offered rate is per source node, so total load (and the event
-    count) grows with N — the row tracks how fleet wall time scales
-    with fleet size, not a fixed-work speedup.  Three gates:
+    The offered rate is per source node, so total load (and the
+    completed count) grows with N — the row tracks how fleet wall time
+    scales with fleet size, not a fixed-work speedup.  Three gates:
 
     * determinism: the same config twice must produce byte-identical
       fleet reports before any timing is trusted,
-    * anti-scaling: events/s must be monotone non-decreasing in N
-      (within ``MIN_SCALING_SLACK`` timer noise) — a bigger fleet
-      doing *more total work per wall second* is the whole point,
-    * baseline: N=4 events/s must stay within ``BASELINE_SLACK`` of
+    * anti-scaling: completed requests/s must be monotone
+      non-decreasing in N (within ``MIN_SCALING_SLACK`` timer noise) —
+      a bigger fleet doing *more total work per wall second* is the
+      whole point,
+    * baseline: N=4 requests/s must stay within ``BASELINE_SLACK`` of
       the most recent rate recorded in the trajectory file.
     """
     baseline_n4 = _last_recorded_fleet_rate(CLUSTER_NODE_COUNTS[-1])
@@ -229,6 +261,7 @@ def test_cluster_fleet_scaling():
             "completed": report.completed,
             "wall_s": round(elapsed, 4),
             "events_per_s": round(events / elapsed, 1),
+            "completed_per_s": round(report.completed / elapsed, 1),
         })
 
     record = {
@@ -245,21 +278,21 @@ def test_cluster_fleet_scaling():
         assert row["completed"] > 0, row
 
     for prev, cur in zip(scaling, scaling[1:]):
-        floor = prev["events_per_s"] * MIN_SCALING_SLACK
-        assert cur["events_per_s"] >= floor, (
+        floor = prev["completed_per_s"] * MIN_SCALING_SLACK
+        assert cur["completed_per_s"] >= floor, (
             f"fleet anti-scaling: {cur['nodes']} nodes ran at "
-            f"{cur['events_per_s']:.0f} events/s, below "
+            f"{cur['completed_per_s']:.0f} requests/s, below "
             f"{floor:.0f} ({MIN_SCALING_SLACK}x the "
             f"{prev['nodes']}-node rate of "
-            f"{prev['events_per_s']:.0f})"
+            f"{prev['completed_per_s']:.0f})"
         )
 
     if baseline_n4 is not None:
-        current = scaling[-1]["events_per_s"]
+        current = scaling[-1]["completed_per_s"]
         floor = baseline_n4 * BASELINE_SLACK
         assert current >= floor, (
             f"fleet baseline regression: {CLUSTER_NODE_COUNTS[-1]} "
-            f"nodes ran at {current:.0f} events/s, below "
+            f"nodes ran at {current:.0f} requests/s, below "
             f"{floor:.0f} ({BASELINE_SLACK}x the last recorded "
             f"{baseline_n4:.0f})"
         )
@@ -328,6 +361,9 @@ def test_cluster_epoch_parallel_scaling():
             "sequential_s": round(seq_s, 4),
             "parallel_s": round(par_s, 4),
             "sequential_events_per_s": round(events / seq_s, 1),
+            "sequential_completed_per_s": round(
+                seq_report.completed / seq_s, 1
+            ),
             "parallel_speedup": round(speedup, 2),
         })
 
@@ -475,6 +511,7 @@ def test_serve_sampled_trace_smoke():
         "events": events,
         "wall_s": round(elapsed, 4),
         "events_per_s": round(events / elapsed, 1),
+        "completed_per_s": round(report.completed / elapsed, 1),
     }
     _append_trajectory(record)
     print(f"bench_serve sampled: {json.dumps(record)}")

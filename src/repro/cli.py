@@ -239,15 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival-process seed (recorded in the report)",
     )
     serve.add_argument(
-        "--engine", dest="serve_engine",
-        choices=("scalar", "vector"), default="vector",
-        help=(
-            "hot-path implementation: 'vector' (NumPy batched; "
-            "default) or 'scalar' (pure-Python reference) — both "
-            "produce byte-identical reports"
-        ),
-    )
-    serve.add_argument(
         "--sample-window", type=float, default=None,
         metavar="SECONDS",
         help=(
@@ -418,14 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
             "reports for any value; stateful routers fall back to "
             "sequential with a report-recorded warning) "
             "(default: 1)"
-        ),
-    )
-    cluster.add_argument(
-        "--engine", dest="serve_engine",
-        choices=("scalar", "vector"), default="vector",
-        help=(
-            "per-node hot-path implementation (default: vector; "
-            "byte-identical reports either way)"
         ),
     )
     cluster.add_argument(
@@ -718,10 +701,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             label = "default" if args.seed is None else str(args.seed)
         with observing() as (tracer, _):
             with tracer.span("serve"):
-                report = QueryService(
-                    config, arrivals=arrivals,
-                    engine=args.serve_engine,
-                ).run()
+                report = QueryService(config, arrivals=arrivals).run()
         if args.trace:
             print()
             print(format_spans(tracer.root))
@@ -884,9 +864,7 @@ def _run_cluster(args: argparse.Namespace) -> int:
             return 2
         with observing() as (tracer, _):
             with tracer.span("cluster"):
-                report = Cluster(
-                    config, engine=args.serve_engine
-                ).run(fleet_jobs=args.fleet_jobs)
+                report = Cluster(config).run(fleet_jobs=args.fleet_jobs)
         if args.trace:
             print()
             print(format_spans(tracer.root))

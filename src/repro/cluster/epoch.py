@@ -325,7 +325,6 @@ def _simulate_node(payload: dict) -> dict:
         config.node_config(index),
         spec=payload["spec"],
         calibration=payload["calibration"],
-        engine=payload["engine"],
         solve_memo=dict(payload["memo"]),
     )
     if node.controller is not None:

@@ -124,7 +124,6 @@ from ..serve.events import EventKind
 from ..serve.service import (
     ARRIVAL_WINDOW_S,
     POLICIES,
-    SERVE_ENGINES,
     ServiceConfig,
 )
 from ..serve.slo import SloTarget, SloTracker
@@ -595,14 +594,8 @@ class Cluster:
         config: ClusterConfig,
         spec: SystemSpec | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        engine: str = "vector",
     ) -> None:
-        if engine not in SERVE_ENGINES:
-            raise ClusterError(
-                f"engine must be one of {SERVE_ENGINES}: {engine!r}"
-            )
         self.config = config
-        self.engine = engine
         self.spec = spec if spec is not None else SystemSpec()
         self.calibration = calibration
         self.router: Router = make_router(
@@ -639,7 +632,6 @@ class Cluster:
                 config.node_config(index),
                 spec=self.spec,
                 calibration=calibration,
-                engine=engine,
                 solve_memo=self.solve_memo,
             )
             if node.controller is not None:
@@ -1380,7 +1372,6 @@ class Cluster:
                             "config": config,
                             "spec": self.spec,
                             "calibration": self.calibration,
-                            "engine": self.engine,
                             "arrivals": plan.node_arrivals[index],
                             "faults": plan.node_faults[index],
                             "memo": memo,

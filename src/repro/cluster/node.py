@@ -49,7 +49,6 @@ class ClusterNode(QueryService):
         spec: SystemSpec | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
         rate_cache: dict | None = None,
-        engine: str = "vector",
         solve_memo: dict | None = None,
     ) -> None:
         if index < 0:
@@ -61,7 +60,6 @@ class ClusterNode(QueryService):
             calibration=calibration,
             rate_cache=rate_cache,
             arrivals=_NoArrivals(),
-            engine=engine,
             solve_memo=solve_memo,
         )
         self.alive = True

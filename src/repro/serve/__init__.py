@@ -51,7 +51,6 @@ from .replay import (
 )
 from .service import (
     ARRIVAL_WINDOW_S,
-    SERVE_ENGINES,
     QueryService,
     RateCache,
     ServiceConfig,
@@ -79,7 +78,6 @@ __all__ = [
     "ReplayArrivals",
     "Request",
     "RequestClass",
-    "SERVE_ENGINES",
     "SampleGrid",
     "ServiceConfig",
     "ServiceReport",

@@ -45,9 +45,6 @@ class Request:
     admitted_s: float | None = None
     completed_s: float | None = None
     remaining_tuples: float = field(default=0.0)
-    #: Completion-event epoch: bumped every time service rates change,
-    #: so stale COMPLETION events can be recognised and dropped.
-    epoch: int = 0
     #: Whether the request's latency counts toward SLO measurement.
     #: False for arrivals landing in the warmup slice of a sampled
     #: window — they run (warming queue state) but are not observed.

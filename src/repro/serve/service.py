@@ -21,11 +21,13 @@ tuples per second — processor sharing within the class.
 composition or the masks change (arrival admitted, completion,
 controller reconfiguration).  Each such *reflow* advances every
 running request's remaining work at the old rates, bumps an epoch
-counter, and schedules fresh COMPLETION events at the new rates;
-completion events from earlier epochs are recognised by their stale
-epoch and dropped (lazy invalidation).  Rate solves are memoised in a
-``rate_cache`` keyed by the exact (class, count, mask) composition —
-shareable across runs, which is what keeps policy comparisons cheap.
+counter, and schedules one COMPLETION: the request with the smallest
+ETA at the new rates.  Nothing finishes before it without another
+reflow, which schedules its own successor.  A completion from an older
+epoch (superseded, or stranded by a node crash) is dropped without
+moving the clock.  Rate solves are memoised in a ``rate_cache`` keyed
+by the exact (class, count, mask) composition — shareable across runs,
+which is what keeps policy comparisons cheap.
 
 Determinism: the only randomness is the seeded arrival process, time
 only moves through the event queue, and the report contains no wall
@@ -36,11 +38,10 @@ reports (CI asserts this).
 from __future__ import annotations
 
 import json
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from ..config import SystemSpec
 from ..core.policy import paper_scheme
@@ -71,13 +72,6 @@ from .slo import SloTarget, SloTracker
 PROFILES = ("poisson", "bursty", "diurnal", "replay")
 POLICIES = ("none", "static", "adaptive")
 MIXES = ("olap", "oltp", "shift")
-
-#: Event-loop engines.  ``vector`` (the default) advances running work
-#: and files latencies through NumPy batch operations; ``scalar`` is
-#: the element-at-a-time reference path.  Both produce byte-identical
-#: reports (the equivalence suite asserts it), so the engine is NOT
-#: part of :class:`ServiceConfig` — it changes cost, never results.
-SERVE_ENGINES = ("scalar", "vector")
 
 #: In-flight budget (running + queued) shared by every jailed class
 #: on a node.  One slot: a convicted group keeps exactly one request
@@ -355,15 +349,9 @@ class QueryService:
         rate_cache: dict | None = None,
         controller: AdaptiveController | None = None,
         arrivals=None,
-        engine: str = "vector",
         solve_memo: dict | None = None,
     ) -> None:
-        if engine not in SERVE_ENGINES:
-            raise ServeError(
-                f"engine must be one of {SERVE_ENGINES}: {engine!r}"
-            )
         self.config = config
-        self.engine = engine
         self.spec = spec if spec is not None else SystemSpec()
         self.calibration = calibration
         self.simulator = WorkloadSimulator(self.spec, calibration)
@@ -417,8 +405,7 @@ class QueryService:
             (
                 SloTarget("olap", p99_s=config.olap_p99_s),
                 SloTarget("oltp", p99_s=config.oltp_p99_s),
-            ),
-            engine=engine,
+            )
         )
         self._mix_schedule = self._build_mix_schedule()
         if arrivals is not None:
@@ -519,13 +506,17 @@ class QueryService:
     # -- rate model ----------------------------------------------------
 
     def _composition_signature(self) -> tuple:
-        counts: dict[tuple[str, int], int] = {}
+        # A class's mask depends only on the class, so count by name
+        # and resolve one mask per distinct class.
+        classes: dict[str, RequestClass] = {}
+        counts: dict[str, int] = {}
         for request in self.admission.running.values():
-            key = (request.cls.name, self._mask_for(request.cls))
-            counts[key] = counts.get(key, 0) + 1
+            cls = request.cls
+            classes.setdefault(cls.name, cls)
+            counts[cls.name] = counts.get(cls.name, 0) + 1
         return tuple(
-            (name, mask, count)
-            for (name, mask), count in sorted(counts.items())
+            (name, self._mask_for(classes[name]), counts[name])
+            for name in sorted(counts)
         )
 
     def _solve_rates(self) -> dict[int, float]:
@@ -604,47 +595,34 @@ class QueryService:
     def _advance(self, now: float) -> None:
         """Progress running work at the current rates up to ``now``."""
         elapsed = now - self._state.last_advance_s
-        rates = self._state.rates
-        if elapsed > 0.0 and rates:
-            if self.engine == "vector" and len(rates) > 1:
-                # Struct-of-arrays decrement; elementwise IEEE-754 ops
-                # identical to the scalar loop, so both engines keep
-                # bit-equal remaining work.
-                ids = list(rates)
-                rate_arr = np.fromiter(
-                    rates.values(), dtype=np.float64, count=len(ids)
+        if elapsed > 0.0:
+            requests = self._requests
+            for request_id, rate in self._state.rates.items():
+                request = requests[request_id]
+                request.remaining_tuples = max(
+                    0.0, request.remaining_tuples - rate * elapsed
                 )
-                remaining = np.fromiter(
-                    (self._requests[i].remaining_tuples for i in ids),
-                    dtype=np.float64,
-                    count=len(ids),
-                )
-                remaining = np.maximum(
-                    0.0, remaining - rate_arr * elapsed
-                )
-                for request_id, value in zip(ids, remaining.tolist()):
-                    self._requests[request_id].remaining_tuples = value
-            else:
-                for request_id, rate in rates.items():
-                    request = self._requests[request_id]
-                    request.remaining_tuples = max(
-                        0.0, request.remaining_tuples - rate * elapsed
-                    )
         self._state.last_advance_s = now
 
     def _reflow(self, now: float) -> None:
-        """Recompute rates and reschedule every completion."""
+        """Recompute rates and schedule the earliest completion (ties
+        go to the first request in rate order)."""
         self._advance(now)
-        self._state.rates = self._solve_rates()
+        rates = self._state.rates = self._solve_rates()
         self._state.epoch += 1
-        for request_id, rate in self._state.rates.items():
-            request = self._requests[request_id]
-            request.epoch = self._state.epoch
-            eta = now + request.remaining_tuples / rate
+        requests = self._requests
+        next_id = None
+        next_eta = math.inf
+        for request_id, rate in rates.items():
+            eta = now + requests[request_id].remaining_tuples / rate
+            if eta < next_eta:
+                next_id = request_id
+                next_eta = eta
+        if next_id is not None:
             self.queue.push(
-                eta,
+                next_eta,
                 EventKind.COMPLETION,
-                request_id=request_id,
+                request_id=next_id,
                 epoch=self._state.epoch,
             )
 
@@ -748,11 +726,7 @@ class QueryService:
 
     def _on_completion(self, now: float, payload: dict) -> None:
         request_id = payload["request_id"]
-        if payload["epoch"] != self._state.epoch:
-            return  # stale: superseded by a later reflow
-        request = self._requests.get(request_id)
-        if request is None or request_id not in self.admission.running:
-            return
+        request = self._requests[request_id]
         self._advance(now)
         request.completed_s = now
         request.remaining_tuples = 0.0
@@ -805,12 +779,19 @@ class QueryService:
         """Advance the clock to one event and handle it.
 
         Factored out of :meth:`run` so a cluster fleet can pop each
-        node's queue in global time order and dispatch here.
+        node's queue in global time order and dispatch here.  Stale
+        completions must not move the clock (it sets the drain horizon).
         """
+        kind = event.kind
+        if (
+            kind is EventKind.COMPLETION
+            and event.payload["epoch"] != self._state.epoch
+        ):
+            return
         now = self.clock.advance_to(event.time_s)
-        if event.kind is EventKind.ARRIVAL:
+        if kind is EventKind.ARRIVAL:
             self._on_arrival(now, event.payload)
-        elif event.kind is EventKind.COMPLETION:
+        elif kind is EventKind.COMPLETION:
             self._on_completion(now, event.payload)
         else:
             self._on_control(now)

@@ -13,12 +13,13 @@ monitoring trade-off (Prometheus histograms make the same one).
 Bucket counts live in a NumPy ``int64`` struct-of-arrays.  Indexing is
 ``bisect_right`` over the static bounds (bucket ``i`` holds samples in
 ``[bounds[i-1], bounds[i])``; a sample exactly on a bound lands in the
-bucket whose upper edge is the *next* bound).  The vectorized engine
-buffers observations and files them in one ``searchsorted`` sweep on
-the next read — ``numpy.searchsorted(side="right")`` computes exactly
-``bisect.bisect_right``, so the scalar and vectorized engines produce
-identical state.  ``NaN`` latencies raise (they would otherwise be
-misfiled silently); negative inputs to the index clamp to bucket 0.
+bucket whose upper edge is the *next* bound).  Observations are
+buffered and filed in one ``searchsorted`` sweep on the next read —
+``numpy.searchsorted(side="right")`` computes exactly
+``bisect.bisect_right``, the single-sample rule
+:meth:`LatencyHistogram._bucket_index` states.  ``NaN`` latencies
+raise (they would otherwise be misfiled silently); negative inputs to
+the index clamp to bucket 0.
 
 :class:`SloTracker` keeps one histogram per tenant, mirrors counts into
 the run's :class:`repro.obs.metrics.MetricsRegistry`, and renders
@@ -44,11 +45,6 @@ _FIRST_BOUND_S = 1.0e-4
 _BUCKET_RATIO = 1.1
 _BUCKET_COUNT = 130
 
-#: Histogram engines: ``scalar`` files each observation immediately via
-#: ``bisect_right``; ``vector`` buffers and files them in one
-#: ``searchsorted`` sweep.  Both produce identical counts.
-HISTOGRAM_ENGINES = ("scalar", "vector")
-
 
 def _bucket_bounds() -> tuple[float, ...]:
     bounds = []
@@ -65,13 +61,7 @@ class LatencyHistogram:
     BOUNDS_S: tuple[float, ...] = _bucket_bounds()
     _BOUNDS_ARRAY = np.array(BOUNDS_S, dtype=np.float64)
 
-    def __init__(self, engine: str = "vector") -> None:
-        if engine not in HISTOGRAM_ENGINES:
-            raise ServeError(
-                f"histogram engine must be one of {HISTOGRAM_ENGINES}: "
-                f"{engine!r}"
-            )
-        self._engine = engine
+    def __init__(self) -> None:
         # One count per bound, plus an overflow bucket at the end.
         self._counts = np.zeros(len(self.BOUNDS_S) + 1, dtype=np.int64)
         self._pending: list[float] = []
@@ -88,10 +78,7 @@ class LatencyHistogram:
         self.sum_s += latency_s
         if latency_s > self.max_s:
             self.max_s = latency_s
-        if self._engine == "scalar":
-            self._counts[self._bucket_index(latency_s)] += 1
-        else:
-            self._pending.append(latency_s)
+        self._pending.append(latency_s)
 
     @classmethod
     def _bucket_index(cls, latency_s: float) -> int:
@@ -212,24 +199,17 @@ class SloTracker:
     def __init__(
         self,
         targets: tuple[SloTarget, ...] = (),
-        engine: str = "vector",
     ) -> None:
         tenants = [t.tenant for t in targets]
         if len(tenants) != len(set(tenants)):
             raise ServeError(f"duplicate SLO tenants: {tenants}")
-        if engine not in HISTOGRAM_ENGINES:
-            raise ServeError(
-                f"histogram engine must be one of {HISTOGRAM_ENGINES}: "
-                f"{engine!r}"
-            )
-        self._engine = engine
         self._targets = {t.tenant: t for t in targets}
         self._histograms: dict[str, LatencyHistogram] = {}
 
     def observe(self, tenant: str, latency_s: float) -> None:
         histogram = self._histograms.get(tenant)
         if histogram is None:
-            histogram = LatencyHistogram(engine=self._engine)
+            histogram = LatencyHistogram()
             self._histograms[tenant] = histogram
         histogram.observe(latency_s)
         runtime.metrics.counter(
@@ -251,13 +231,13 @@ class SloTracker:
         for tenant in sorted(other._histograms):
             target = self._histograms.get(tenant)
             if target is None:
-                target = LatencyHistogram(engine=self._engine)
+                target = LatencyHistogram()
                 self._histograms[tenant] = target
             target.merge(other._histograms[tenant])
 
     def pooled(self) -> LatencyHistogram:
         """All tenants' observations merged into one histogram."""
-        combined = LatencyHistogram(engine=self._engine)
+        combined = LatencyHistogram()
         for tenant in sorted(self._histograms):
             combined.merge(self._histograms[tenant])
         return combined

@@ -215,19 +215,6 @@ class TestScalingMachinery:
         for time_s, lane, index, version in cluster._frontier:
             assert cluster._lane_versions[(lane, index)] != version
 
-    def test_scalar_and_vector_fleets_identical(self):
-        config = ClusterConfig(
-            nodes=2, router="least-loaded", policy="none",
-            duration_s=3.0, rate_per_s=6.0, seed=7,
-        )
-        vector = Cluster(config, engine="vector").run()
-        scalar = Cluster(config, engine="scalar").run()
-        assert vector.to_json() == scalar.to_json()
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ClusterError):
-            Cluster(ClusterConfig(nodes=1), engine="turbo")
-
 
 class TestSampling:
     def test_sampled_fleet_sees_fewer_arrivals(self):

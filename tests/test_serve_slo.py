@@ -6,12 +6,7 @@ from bisect import bisect_right
 import pytest
 
 from repro.errors import ServeError
-from repro.serve.slo import (
-    HISTOGRAM_ENGINES,
-    LatencyHistogram,
-    SloTarget,
-    SloTracker,
-)
+from repro.serve.slo import LatencyHistogram, SloTarget, SloTracker
 
 
 class TestLatencyHistogram:
@@ -113,40 +108,35 @@ class TestBucketBoundaries:
         )
 
 
-class TestEngineEquivalence:
-    @pytest.mark.parametrize("engine", HISTOGRAM_ENGINES)
-    def test_engine_validated(self, engine):
-        LatencyHistogram(engine=engine)
-        with pytest.raises(ServeError):
-            LatencyHistogram(engine="bogus")
+def _reference_counts(values) -> tuple[int, ...]:
+    """Bucket counts filed one sample at a time via ``_bucket_index``."""
+    counts = [0] * (len(LatencyHistogram.BOUNDS_S) + 1)
+    for value in values:
+        counts[LatencyHistogram._bucket_index(value)] += 1
+    return tuple(counts)
 
-    def test_scalar_and_vector_identical(self):
-        values = [0.0, 1e-6, 0.001, 0.0099, 0.01, 0.5, 3.2, 900.0]
-        scalar = LatencyHistogram(engine="scalar")
-        vector = LatencyHistogram(engine="vector")
-        for value in values * 7:
-            scalar.observe(value)
-            vector.observe(value)
-        assert scalar.bucket_counts() == vector.bucket_counts()
-        for q in (0.5, 0.9, 0.95, 0.99):
-            assert scalar.quantile(q) == vector.quantile(q)
-        assert scalar.mean_s == vector.mean_s
-        assert scalar.max_s == vector.max_s
 
-    def test_cross_engine_merge(self):
-        scalar = LatencyHistogram(engine="scalar")
-        vector = LatencyHistogram(engine="vector")
+class TestBufferedFiling:
+    def test_buffered_filing_matches_bucket_index(self):
+        values = [0.0, 1e-6, 0.001, 0.0099, 0.01, 0.5, 3.2, 900.0] * 7
+        histogram = LatencyHistogram()
+        for value in values:
+            histogram.observe(value)
+        assert histogram.bucket_counts() == _reference_counts(values)
+
+    def test_merge_files_pending_observations(self):
+        flushed = LatencyHistogram()
+        pending = LatencyHistogram()
         for value in (0.01, 0.2, 5.0):
-            scalar.observe(value)
-            vector.observe(value)
-        merged = LatencyHistogram(engine="vector")
-        merged.merge(scalar)
-        merged.merge(vector)
-        assert sum(merged.bucket_counts()) == 6
-        reference = LatencyHistogram(engine="scalar")
-        for value in (0.01, 0.2, 5.0) * 2:
-            reference.observe(value)
-        assert merged.bucket_counts() == reference.bucket_counts()
+            flushed.observe(value)
+            pending.observe(value)
+        flushed.bucket_counts()
+        merged = LatencyHistogram()
+        merged.merge(flushed)
+        merged.merge(pending)
+        assert merged.bucket_counts() == _reference_counts(
+            (0.01, 0.2, 5.0) * 2
+        )
 
 
 class TestSloTracker:
