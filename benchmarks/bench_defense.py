@@ -8,7 +8,8 @@ thrasher from t=1s at 20 req/s) and asserts the two defense gates:
   OLAP p99 must come in at or under ``MAX_DEFENDED_P99_RATIO`` of the
   undefended run's,
 * **defense-off overhead** — a fleet with no attacks and the defense
-  layer off must sustain at least ``MIN_OFF_RATE_RATIO`` of the most
+  layer off (best of ``TIMED_PASSES`` runs, each with byte-identical
+  reports) must sustain at least ``MIN_OFF_RATE_RATIO`` of the most
   recent 4-node completed requests/s recorded in ``BENCH_serve.json``
   (skipped when no trajectory exists): carrying the defense code paths
   may not tax undefended runs.  The rate counts requests, not DES
@@ -34,6 +35,7 @@ from repro.defense import AttackSpec
 
 MAX_DEFENDED_P99_RATIO = 0.5
 MIN_OFF_RATE_RATIO = 0.95
+TIMED_PASSES = 5
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = ROOT / "BENCH_defense.json"
@@ -153,9 +155,17 @@ def test_defense_off_overhead():
 
     config = ClusterConfig(nodes=4, **OFF_BASE)
     Cluster(ClusterConfig(nodes=4, **OFF_BASE)).run()  # warm caches
-    started = time.perf_counter()
-    report = Cluster(config).run()
-    elapsed = time.perf_counter() - started
+    passes = []
+    for _ in range(TIMED_PASSES):
+        started = time.perf_counter()
+        report = Cluster(config).run()
+        passes.append((time.perf_counter() - started, report))
+    reference = passes[0][1].to_json()
+    for _, report in passes[1:]:
+        assert report.to_json() == reference, (
+            "defense-off fleet: a timed pass diverged from the first"
+        )
+    elapsed, report = min(passes, key=lambda run: run[0])
     events = report.generated + sum(
         r.events["popped"] for r in report.node_reports
     )

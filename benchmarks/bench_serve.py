@@ -26,8 +26,9 @@ event count is an implementation detail (a loop that schedules fewer
 superseded completions pops fewer events for the same work), so a
 rate per event would read an event-economy gain as a slowdown.
 
-Fleet benches ride along: least-loaded scaling rows at N=1/2/4 with
-anti-scaling and trajectory-baseline gates, and hash-router
+Fleet benches ride along: least-loaded scaling rows at N=1/2/4 (best
+of ``TIMED_PASSES`` each) with anti-scaling and trajectory-baseline
+gates, and hash-router
 epoch-parallel rows at N=8/16 with a ``fleet_jobs=4`` speedup gate
 (>= 2x sequential at N=8, asserted only on >= 4-CPU runners).
 
@@ -218,10 +219,20 @@ def _last_recorded_fleet_rate(nodes: int):
 
 
 def _timed_cluster(nodes: int):
+    """Best of ``TIMED_PASSES`` fresh fleet runs; every pass must
+    produce the same report bytes."""
     config = ClusterConfig(nodes=nodes, **CLUSTER_BASE)
-    started = time.perf_counter()
-    report = Cluster(config).run()
-    elapsed = time.perf_counter() - started
+    passes = []
+    for _ in range(TIMED_PASSES):
+        started = time.perf_counter()
+        report = Cluster(config).run()
+        passes.append((time.perf_counter() - started, report))
+    reference = passes[0][1].to_json()
+    for _, report in passes[1:]:
+        assert report.to_json() == reference, (
+            f"{nodes}-node fleet: a timed pass diverged from the first"
+        )
+    elapsed, report = min(passes, key=lambda run: run[0])
     # Fleet event count: arrivals routed by the fleet loop plus every
     # DES event popped inside the nodes (completions, controls, ...).
     events = report.generated + sum(
@@ -235,10 +246,11 @@ def test_cluster_fleet_scaling():
 
     The offered rate is per source node, so total load (and the
     completed count) grows with N — the row tracks how fleet wall time
-    scales with fleet size, not a fixed-work speedup.  Three gates:
+    scales with fleet size, not a fixed-work speedup.  Each row is the
+    best of ``TIMED_PASSES`` runs.  Three gates:
 
-    * determinism: the same config twice must produce byte-identical
-      fleet reports before any timing is trusted,
+    * determinism: every timed pass at each N must produce a
+      byte-identical fleet report,
     * anti-scaling: completed requests/s must be monotone
       non-decreasing in N (within ``MIN_SCALING_SLACK`` timer noise) —
       a bigger fleet doing *more total work per wall second* is the
@@ -247,10 +259,6 @@ def test_cluster_fleet_scaling():
       the most recent rate recorded in the trajectory file.
     """
     baseline_n4 = _last_recorded_fleet_rate(CLUSTER_NODE_COUNTS[-1])
-
-    _, _, first = _timed_cluster(2)
-    _, _, second = _timed_cluster(2)
-    assert first.to_json() == second.to_json()
 
     scaling = []
     for nodes in CLUSTER_NODE_COUNTS:

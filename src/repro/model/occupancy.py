@@ -115,14 +115,6 @@ class CacheActorSet:
         )
 
 
-def _total_occupancy(
-    regions: list[RegionActor], streams: list[StreamActor], t_char: float
-) -> float:
-    return sum(r.occupancy(t_char) for r in regions) + sum(
-        s.occupancy(t_char) for s in streams
-    )
-
-
 #: Bracket sweep: candidate upper bounds ``1e-9 * 4**k`` — the same
 #: geometric schedule the scalar solver walked one step at a time,
 #: evaluated in a single vectorized pass.  ``4**199 * 1e-9`` is still a
@@ -170,16 +162,19 @@ def _actor_arrays(
 
 def _occupancy_grid(
     lines: np.ndarray,
-    per_line: np.ndarray,
+    neg_per_line: np.ndarray,
     streaming: float,
     ts: np.ndarray,
 ) -> np.ndarray:
-    """Total expected occupancy at each candidate time (vectorized)."""
+    """Total expected occupancy at each candidate time (vectorized).
+
+    Takes the per-line rates negated once per solve: ``s*t -
+    expm1(t*-r) @ W`` is ``-expm1(-(t*r)) @ W + s*t`` without the array
+    negations, and IEEE negation is exact, so results are bit-identical.
+    """
     if lines.size:
-        totals = -np.expm1(-(ts[:, None] * per_line)) @ lines
-    else:
-        totals = np.zeros(ts.shape, dtype=np.float64)
-    return totals + streaming * ts
+        return streaming * ts - np.expm1(ts[:, None] * neg_per_line) @ lines
+    return streaming * ts
 
 
 def solve_characteristic_time(
@@ -252,6 +247,7 @@ def solve_characteristic_time_arrays(
             # product underflows to 0.0): no insertions ever fill the
             # cache, at any characteristic time.
             return math.inf
+        neg_per_line = -per_line
         start = int(
             _BRACKET_GRID.searchsorted(capacity_lines / demand_rate)
         )
@@ -259,7 +255,7 @@ def solve_characteristic_time_arrays(
         for chunk in range(start, _BRACKET_STEPS, _BRACKET_CHUNK):
             stop = min(chunk + _BRACKET_CHUNK, _BRACKET_STEPS)
             totals = _occupancy_grid(
-                lines, per_line, streaming, _BRACKET_GRID[chunk:stop]
+                lines, neg_per_line, streaming, _BRACKET_GRID[chunk:stop]
             )
             cut = int(totals.searchsorted(capacity_lines))
             if cut < stop - chunk:
@@ -281,7 +277,7 @@ def solve_characteristic_time_arrays(
         for _ in range(max_iterations):
             iterations += 1
             grid = t_low + (t_high - t_low) * _SECTION_FRACTIONS
-            totals = _occupancy_grid(lines, per_line, streaming, grid)
+            totals = _occupancy_grid(lines, neg_per_line, streaming, grid)
             cut = int(totals.searchsorted(capacity_lines))
             if cut < _SECTION_POINTS:
                 t_high = float(grid[cut])

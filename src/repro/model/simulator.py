@@ -28,12 +28,7 @@ from ..obs import runtime
 from .bandwidth import BandwidthUsage, solve_bandwidth
 from .calibration import DEFAULT_CALIBRATION, Calibration
 from .latency import LatencyModel
-from .occupancy import (
-    RegionActor,
-    StreamActor,
-    solve_characteristic_time_arrays,
-    solve_segment,
-)
+from .occupancy import solve_characteristic_time_arrays
 from .segments import decompose_masks
 from .streams import AccessProfile
 
@@ -154,21 +149,73 @@ class QueryResult:
 
 
 @dataclass
-class _SingleSegmentContext:
-    """Rate-independent arrays for a one-segment composition.
+class _OccupancyContext:
+    """Rate-independent arrays for one ``simulate()`` call.
 
-    Built once per ``simulate()`` call; every fixed-point round scales
-    ``per_line_coeff``/``stream_coeff`` by the current throughput
-    vector instead of rebuilding actor objects.
+    Built once per call for any segment count; every fixed-point round
+    scales them by the current throughput vector instead of rebuilding
+    actor objects.  *Entries* are the composition's (query, region)
+    pairs: the ``n_active`` regions with a non-zero LLC coefficient
+    first, then the idle ones, each group in query order.  *Slots* are
+    an entry's appearances in a segment: ``slots[s]`` covers segment
+    ``s``'s members in ``segment.members`` order, regions in profile
+    order, and ``base_weights`` holds each slot's capacity-proportional
+    placement weight.
     """
 
-    capacity_lines: float
-    working: "np.ndarray"
-    per_line_coeff: "np.ndarray"
-    owner: "np.ndarray"
     keys: list
+    owner: "np.ndarray"
+    working: "np.ndarray"
+    coeff: "np.ndarray"
+    n_active: int
+    per_line_coeff: "np.ndarray"
     idle_hits: dict
     stream_coeff: "np.ndarray"
+    capacity: list
+    slots: list
+    slot_entry: "np.ndarray"
+    slot_working: "np.ndarray"
+    # (query, region, working lines) per slot.
+    slot_info: list
+    base_weights: list
+    # Per segment: (query index, stream weight) per member.
+    stream_weights: list
+    # Entries spanning >= 2 segments, in the order the re-placement
+    # first meets them: entry -> (working lines, {segment: slot}).
+    spans: dict
+
+    def placement(self, order: list, ranking: list) -> list:
+        """Greedy re-placement weights.
+
+        Entries in ``order`` (hottest first) fill their segments in
+        ``ranking`` order (longest characteristic time first) up to a
+        residual shared by all entries; any overflow is spread
+        capacity-proportionally.
+        """
+        weights = list(self.base_weights)
+        capacity = self.capacity
+        residual = list(capacity)
+        for e in order:
+            working_lines, where = self.spans[e]
+            remaining = working_lines
+            placed = {}
+            for seg_index in ranking:
+                slot = where.get(seg_index)
+                if slot is None:
+                    continue
+                take = min(remaining, residual[seg_index])
+                placed[slot] = take
+                residual[seg_index] -= take
+                remaining -= take
+            if remaining > 0:
+                total_capacity = sum(capacity[s] for s in where)
+                for seg_index, slot in where.items():
+                    placed[slot] += (
+                        remaining * capacity[seg_index] / total_capacity
+                    )
+            for slot in where.values():
+                weights[slot] = placed[slot] / working_lines
+        return weights
 
 
 def system_counters(results: dict[str, QueryResult]) -> CounterRates:
@@ -321,22 +368,15 @@ class WorkloadSimulator:
             q.name: {r.name: 1.0 for r in q.profile.regions} for q in queries
         }
         slowdowns = {q.name: 1.0 for q in queries}
-        single_ctx = (
-            self._single_segment_context(
-                queries, prepared, segments[0], way_lines
-            )
-            if len(segments) == 1
-            else None
+        context = self._occupancy_context(
+            queries, prepared, segments, allowed_lines, way_lines
         )
 
         rounds = 0
         converged = False
         for _ in range(self.max_iterations):
             rounds += 1
-            hit_ratios = self._solve_occupancy(
-                queries, prepared, throughput, segments, allowed_lines,
-                way_lines, single_ctx=single_ctx,
-            )
+            hit_ratios = self._solve_occupancy(queries, throughput, context)
             usages = [
                 self._bandwidth_usage(q, prepared[q.name], throughput[q.name],
                                       hit_ratios[q.name])
@@ -447,15 +487,85 @@ class WorkloadSimulator:
             ),
         }
 
-    def _solve_occupancy(
+    def _occupancy_context(
         self,
         queries: list[QuerySpec],
         prepared: dict[str, dict],
-        throughput: dict[str, float],
         segments,
         allowed_lines: dict[str, float],
         way_lines: float,
-        single_ctx: _SingleSegmentContext | None = None,
+    ) -> _OccupancyContext:
+        """Precompute the rate-independent arrays of one composition."""
+        line_bytes = self.spec.llc.line_bytes
+        rows = [
+            (q_index, region.name,
+             prepared[q.name]["llc_accesses_per_tuple"][region.name],
+             max(1.0, region.total_bytes / line_bytes))
+            for q_index, q in enumerate(queries)
+            for region in q.profile.regions
+        ]
+        # Active regions first; idle ones (zero LLC coefficient) never
+        # miss, same as the actor path.
+        entries = [row for row in rows if row[2] > 0]
+        n_active = len(entries)
+        entries += [row for row in rows if not row[2] > 0]
+        keys = [(queries[row[0]].name, row[1]) for row in entries]
+        entry_of = {key: e for e, key in enumerate(keys)}
+        idle_hits: dict[str, dict[str, float]] = {q.name: {} for q in queries}
+        for name, region_name in keys[n_active:]:
+            idle_hits[name][region_name] = 1.0
+        working = np.asarray([row[3] for row in entries], dtype=np.float64)
+        coeff = np.asarray([row[2] for row in entries], dtype=np.float64)
+
+        by_name = {q.name: (q_index, q) for q_index, q in enumerate(queries)}
+        capacity = [segment.ways * way_lines for segment in segments]
+        slots: list[range] = []
+        slot_entry: list[int] = []
+        base_weights: list[float] = []
+        stream_weights: list[list[tuple[int, float]]] = []
+        spans: dict[int, dict[int, int]] = {}
+        for seg_index, segment in enumerate(segments):
+            start = len(slot_entry)
+            seg_streams = []
+            for member in segment.members:
+                q_index, query = by_name[member]
+                base = capacity[seg_index] / allowed_lines[member]
+                for region in query.profile.regions:
+                    e = entry_of[(member, region.name)]
+                    spans.setdefault(e, {})[seg_index] = len(slot_entry)
+                    slot_entry.append(e)
+                    base_weights.append(base)
+                seg_streams.append((q_index, base))
+            slots.append(range(start, len(slot_entry)))
+            stream_weights.append(seg_streams)
+
+        return _OccupancyContext(
+            keys=keys,
+            owner=np.asarray([row[0] for row in entries], dtype=np.intp),
+            working=working,
+            coeff=coeff,
+            n_active=n_active,
+            per_line_coeff=coeff[:n_active] / working[:n_active],
+            idle_hits=idle_hits,
+            stream_coeff=np.asarray([
+                prepared[q.name]["stream_lines_per_tuple"] for q in queries
+            ], dtype=np.float64),
+            capacity=capacity,
+            slots=slots,
+            slot_entry=np.asarray(slot_entry, dtype=np.intp),
+            slot_working=working[slot_entry],
+            slot_info=[(*keys[e], entries[e][3]) for e in slot_entry],
+            base_weights=base_weights,
+            stream_weights=stream_weights,
+            spans={e: (entries[e][3], where)
+                   for e, where in spans.items() if len(where) > 1},
+        )
+
+    def _solve_occupancy(
+        self,
+        queries: list[QuerySpec],
+        throughput: dict[str, float],
+        ctx: _OccupancyContext,
     ) -> dict[str, dict[str, float]]:
         """Solve every way-mask segment; blend per-region hit ratios.
 
@@ -465,236 +575,147 @@ class WorkloadSimulator:
         fits into a clean (e.g. exclusive) segment effectively migrates
         there, while a region larger than the clean capacity spills the
         remainder into contested segments.  We capture this with a
-        greedy placement iterated a few times: order the region's
-        allowed segments by their characteristic time (cleanest first)
-        and fill the working set up to each segment's capacity; any
-        overflow is spread capacity-proportionally (it misses anyway).
-        Streams have no reuse and keep capacity-proportional weights.
+        greedy placement (:meth:`_OccupancyContext.placement`) between
+        three solve rounds.  Streams keep capacity-proportional weights.
+
+        Struct-of-arrays over the per-call context, skipping work whose
+        inputs repeat exactly: a segment whose slot weights did not move
+        keeps the previous round's characteristic time (``che.solves``
+        counts only solves that run).  The float
+        operations replay the actor path's (``solve_segment``) in its
+        order, so results are bit-identical (docs/PERFORMANCE.md).
+        One-segment compositions take :meth:`_solve_occupancy_single`.
         """
-        line_bytes = self.spec.llc.line_bytes
-        by_name = {q.name: q for q in queries}
+        if len(ctx.capacity) == 1:
+            return self._solve_occupancy_single(queries, throughput, ctx)
 
-        if len(segments) == 1:
-            # Uniform-mask compositions (the "none" policy, and any
-            # scheme where every class shares one mask) collapse to a
-            # single segment with unit weights and no re-placement —
-            # solve it struct-of-arrays, skipping actor objects and
-            # the placement machinery entirely.
-            if single_ctx is None:
-                single_ctx = self._single_segment_context(
-                    queries, prepared, segments[0], way_lines
-                )
-            return self._solve_occupancy_single(
-                queries, throughput, single_ctx
+        rates = [throughput[q.name] for q in queries]
+        rate_coeff = np.asarray(rates)[ctx.owner] * ctx.coeff
+        if (rate_coeff < 0).any():
+            key = ctx.keys[int(np.flatnonzero(rate_coeff < 0)[0])]
+            raise ModelError(
+                f"region {key[0]}/{key[1]}: access_rate must be >= 0"
             )
+        slot_rate = rate_coeff[ctx.slot_entry]
+        insertion = [
+            rate * coeff
+            for rate, coeff in zip(rates, ctx.stream_coeff.tolist())
+        ]
+        streaming = [
+            float(sum(
+                insertion[q_index] * weight
+                for q_index, weight in seg_streams
+                if insertion[q_index] > 0
+            ))
+            for seg_streams in ctx.stream_weights
+        ]
+        hotness = (rate_coeff / ctx.working).tolist()
+        order = sorted(ctx.spans, key=lambda e: -hotness[e])
+        capacity = ctx.capacity
+        segments = range(len(capacity))
 
-        # region weights: (query, region_name) -> {segment_index: weight}
-        weights: dict[tuple[str, str], dict[int, float]] = {}
-        for seg_index, segment in enumerate(segments):
-            seg_lines = segment.ways * way_lines
-            for member in segment.members:
-                base = seg_lines / allowed_lines[member]
-                for region in by_name[member].profile.regions:
-                    weights.setdefault((member, region.name), {})[
-                        seg_index
-                    ] = base
-
-        blended: dict[str, dict[str, float]] = {}
-        # Re-placement only moves regions that span >= 2 segments, so a
-        # single-segment composition (e.g. policy "none") converges in
-        # one round — the extra rounds would re-solve identical inputs.
-        placement_rounds = 3 if len(segments) > 1 else 1
-        for _ in range(placement_rounds):
-            blended = {q.name: {} for q in queries}
-            seg_times: dict[int, float] = {}
-            for seg_index, segment in enumerate(segments):
-                seg_lines = segment.ways * way_lines
-                regions: list[RegionActor] = []
-                streams: list[StreamActor] = []
-                for member in segment.members:
-                    query = by_name[member]
-                    prep = prepared[member]
-                    rate = throughput[member]
-                    stream_weight = seg_lines / allowed_lines[member]
-                    for region in query.profile.regions:
-                        weight = weights[(member, region.name)][seg_index]
-                        if weight <= 0:
-                            continue
-                        access_rate = (
-                            rate
-                            * prep["llc_accesses_per_tuple"][region.name]
-                        )
-                        working_lines = max(
-                            1.0, region.total_bytes / line_bytes
-                        )
-                        regions.append(
-                            RegionActor(
-                                member,
-                                region.name,
-                                working_lines * weight,
-                                access_rate * weight,
-                            )
-                        )
-                    insertion = rate * prep["stream_lines_per_tuple"]
-                    if insertion > 0:
-                        streams.append(
-                            StreamActor(
-                                member, "input", insertion * stream_weight
-                            )
-                        )
-                solution = solve_segment(
-                    segment, regions, streams, way_lines
-                )
-                seg_times[seg_index] = solution.t_char
-                for key, hit in solution.region_hit_ratios.items():
-                    member, region_name = key
-                    weight = weights[(member, region_name)][seg_index]
-                    blended[member][region_name] = (
-                        blended[member].get(region_name, 0.0)
-                        + weight * hit
+        weights = ctx.base_weights
+        times = [0.0] * len(capacity)
+        stale = [True] * len(capacity)
+        for placement_round in range(3):
+            if any(stale):
+                w = np.asarray(weights, dtype=np.float64)
+                lines = ctx.slot_working * w
+                accesses = slot_rate * w
+                solved = (w > 0) & (accesses > 0)
+                for seg_index in segments:
+                    if not stale[seg_index]:
+                        continue
+                    seg = ctx.slots[seg_index]
+                    keep = solved[seg.start:seg.stop]
+                    seg_lines = lines[seg.start:seg.stop][keep]
+                    per_line = (
+                        accesses[seg.start:seg.stop][keep] / seg_lines
                     )
+                    with runtime.tracer.span("solve_segment"):
+                        times[seg_index] = solve_characteristic_time_arrays(
+                            seg_lines, per_line, streaming[seg_index],
+                            capacity[seg_index],
+                        )
+            if placement_round == 2:
+                break
+            ranking = sorted(segments, key=lambda s: -times[s])
+            placed = ctx.placement(order, ranking)
+            stale = [False] * len(capacity)
+            for _, where in ctx.spans.values():
+                for seg_index, slot in where.items():
+                    if placed[slot] != weights[slot]:
+                        stale[seg_index] = True
+            weights = placed
 
-            # Coordinated greedy re-placement: regions claim the
-            # cleanest segments first, hottest (highest per-line
-            # reference rate) regions first — mirroring which lines
-            # survive under LRU.  A shared residual per segment stops
-            # several regions from over-committing the same clean ways.
-            residual = {
-                seg_index: segment.ways * way_lines
-                for seg_index, segment in enumerate(segments)
-            }
-            hotness: list[tuple[float, tuple[str, str]]] = []
-            for (member, region_name), seg_weights in weights.items():
-                region = by_name[member].profile.region(region_name)
-                working_lines = max(1.0, region.total_bytes / line_bytes)
-                rate = (
-                    throughput[member]
-                    * prepared[member]["llc_accesses_per_tuple"][
-                        region_name
-                    ]
-                )
-                hotness.append(
-                    (rate / working_lines, (member, region_name))
-                )
-            hotness.sort(key=lambda item: -item[0])
-
-            for _, key in hotness:
-                member, region_name = key
-                seg_weights = weights[key]
-                if len(seg_weights) < 2:
+        # Blend the final round's Che hit ratios segment by segment.
+        # math.expm1, not np.expm1: the two differ in the last bit.
+        blended: dict[str, dict[str, float]] = {q.name: {} for q in queries}
+        rate_list = slot_rate.tolist()
+        for seg_index, seg in enumerate(ctx.slots):
+            t_char = times[seg_index]
+            for slot in seg:
+                weight = weights[slot]
+                if weight <= 0:
                     continue
-                region = by_name[member].profile.region(region_name)
-                working_lines = max(1.0, region.total_bytes / line_bytes)
-                order = sorted(
-                    seg_weights,
-                    key=lambda idx: -seg_times.get(idx, 0.0),
-                )
-                remaining = working_lines
-                placed: dict[int, float] = {idx: 0.0 for idx in
-                                            seg_weights}
-                for seg_index in order:
-                    take = min(remaining, residual[seg_index])
-                    placed[seg_index] = take
-                    residual[seg_index] -= take
-                    remaining -= take
-                if remaining > 0:
-                    total_capacity = sum(
-                        segments[idx].ways * way_lines
-                        for idx in seg_weights
-                    )
-                    for seg_index in seg_weights:
-                        capacity = segments[seg_index].ways * way_lines
-                        placed[seg_index] += (
-                            remaining * capacity / total_capacity
+                member, region_name, working_lines = ctx.slot_info[slot]
+                access_rate = rate_list[slot] * weight
+                if access_rate == 0 or math.isinf(t_char):
+                    hit = 1.0
+                else:
+                    lines_in = working_lines * weight
+                    hit = (
+                        lines_in * -math.expm1(
+                            -(access_rate / lines_in) * t_char
                         )
-                for seg_index in seg_weights:
-                    seg_weights[seg_index] = (
-                        placed[seg_index] / working_lines
-                    )
+                    ) / lines_in
+                hits = blended[member]
+                hits[region_name] = (
+                    hits.get(region_name, 0.0) + weight * hit
+                )
 
         for q in queries:
+            hits = blended[q.name]
             for region in q.profile.regions:
-                blended[q.name].setdefault(region.name, 1.0)
-                blended[q.name][region.name] = min(
-                    1.0, max(0.0, blended[q.name][region.name])
+                hits[region.name] = min(
+                    1.0, max(0.0, hits.get(region.name, 1.0))
                 )
         return blended
-
-    def _single_segment_context(
-        self,
-        queries: list[QuerySpec],
-        prepared: dict[str, dict],
-        segment,
-        way_lines: float,
-    ) -> _SingleSegmentContext:
-        """Precompute the rate-independent arrays for a one-segment
-        composition — built once per ``simulate()`` call, scaled by the
-        current throughput vector on every fixed-point round."""
-        line_bytes = self.spec.llc.line_bytes
-        working: list[float] = []
-        per_line_coeff: list[float] = []
-        owner: list[int] = []
-        keys: list[tuple[str, str]] = []
-        idle_hits: dict[str, dict[str, float]] = {}
-        stream_coeff: list[float] = []
-        for q_index, q in enumerate(queries):
-            prep = prepared[q.name]
-            hits: dict[str, float] = {}
-            for region in q.profile.regions:
-                coeff = prep["llc_accesses_per_tuple"][region.name]
-                if coeff > 0:
-                    lines = max(1.0, region.total_bytes / line_bytes)
-                    working.append(lines)
-                    per_line_coeff.append(coeff / lines)
-                    owner.append(q_index)
-                    keys.append((q.name, region.name))
-                else:
-                    # Idle regions never miss (same as the actor path).
-                    hits[region.name] = 1.0
-            idle_hits[q.name] = hits
-            stream_coeff.append(prep["stream_lines_per_tuple"])
-        return _SingleSegmentContext(
-            capacity_lines=segment.ways * way_lines,
-            working=np.asarray(working, dtype=np.float64),
-            per_line_coeff=np.asarray(
-                per_line_coeff, dtype=np.float64
-            ),
-            owner=np.asarray(owner, dtype=np.intp),
-            keys=keys,
-            idle_hits=idle_hits,
-            stream_coeff=np.asarray(stream_coeff, dtype=np.float64),
-        )
 
     def _solve_occupancy_single(
         self,
         queries: list[QuerySpec],
         throughput: dict[str, float],
-        ctx: _SingleSegmentContext,
+        ctx: _OccupancyContext,
     ) -> dict[str, dict[str, float]]:
         """Struct-of-arrays solve for a one-segment composition.
 
-        Equivalent to the general path with every placement weight
-        equal to one: each query's whole working set and traffic lands
+        Uniform-mask compositions (the "none" policy, and any scheme
+        where every class shares one mask) have unit weights and no
+        re-placement: each query's whole working set and traffic lands
         in the single shared segment, so blended hit ratios come
-        straight from one characteristic-time solve over flat arrays
-        — no per-round actor objects, no placement rounds.
+        straight from one characteristic-time solve over the active
+        entries.  Its arithmetic (per-line coefficients, a dot-product
+        stream rate, a vectorized ``expm1``) is its own, not the
+        multi-segment path's — the two agree only to rounding.
         """
+        n = ctx.n_active
         rates = np.fromiter(
             (throughput[q.name] for q in queries),
             dtype=np.float64,
             count=len(queries),
         )
-        per_line = rates[ctx.owner] * ctx.per_line_coeff
+        per_line = rates[ctx.owner[:n]] * ctx.per_line_coeff
         streaming = float(rates @ ctx.stream_coeff)
         with runtime.tracer.span("solve_segment"):
             t_char = solve_characteristic_time_arrays(
-                ctx.working, per_line, streaming, ctx.capacity_lines
+                ctx.working[:n], per_line, streaming, ctx.capacity[0]
             )
         blended = {
             name: dict(hits) for name, hits in ctx.idle_hits.items()
         }
         if math.isinf(t_char):
-            solved = np.ones(len(ctx.keys), dtype=np.float64)
+            solved = np.ones(n, dtype=np.float64)
         else:
             with np.errstate(over="ignore"):
                 solved = -np.expm1(-per_line * t_char)
