@@ -56,6 +56,9 @@ RHO_CAP = 0.95
 #: Weight of the overload penalty relative to the latency objective.
 OVERLOAD_WEIGHT = 10.0
 
+#: Size cap of the enumerated family (:func:`enumerate_blueprints`).
+MAX_FAMILY_CANDIDATES = 64
+
 
 def preferred_node(home: tuple[int, ...], index: int) -> int:
     """The deterministic home of tenant ``index`` within its group's
@@ -158,7 +161,7 @@ def enumerate_blueprints(
     nodes: int,
     groups,
     batch_group: str = "batch",
-    max_candidates: int = 64,
+    max_candidates: int = MAX_FAMILY_CANDIDATES,
 ) -> tuple[Blueprint, ...]:
     """The bounded candidate set for one fleet shape.
 
@@ -285,10 +288,9 @@ class _ClassTable:
     """Struct-of-arrays view of the active request classes.
 
     One table per distinct active-class set (classes whose forecast
-    rate clears the scalar scorer's ``1e-12`` floor), cached on the
-    scorer: class names in sorted order (the scalar loop's iteration
-    order), per-class work, tenant-group columns, and per-scheme CAT
-    masks.
+    rate clears the ``1e-12`` activity floor), cached on the scorer:
+    class names in sorted order (the accumulation order), per-class
+    work, tenant-group columns, and per-scheme CAT masks.
     """
 
     __slots__ = (
@@ -333,15 +335,24 @@ class _ClassTable:
             for scheme in BLUEPRINT_SCHEMES
         }
 
+    def signature(self, bits: int, scheme: str) -> tuple:
+        """The service-format composition signature for one node:
+        the classes whose membership bit is set, under one scheme."""
+        masks = self.masks[scheme]
+        return tuple(sorted(
+            (name, masks[k], 1)
+            for k, name in enumerate(self.names)
+            if bits >> self.group_col[k] & 1
+        ))
+
 
 class BatchScores:
     """One population's scores as struct-of-arrays.
 
-    ``scores`` is the ranking scalar for every candidate (bit-identical
-    to :meth:`BlueprintScorer.score`); :meth:`materialize` builds the
-    full :class:`BlueprintScore` for one candidate on demand, so
-    ranking a thousand-candidate population never pays a thousand
-    dataclass constructions.
+    ``scores`` is the ranking scalar for every candidate;
+    :meth:`materialize` builds the full :class:`BlueprintScore` for
+    one candidate on demand, so ranking a thousand-candidate
+    population never pays a thousand dataclass constructions.
     """
 
     __slots__ = (
@@ -387,9 +398,6 @@ class BatchScores:
             ),
         )
 
-    def materialize_all(self) -> list[BlueprintScore]:
-        return [self.materialize(i) for i in range(len(self))]
-
 
 class BlueprintScorer:
     """Ranks blueprints against the analytic model under a forecast.
@@ -428,22 +436,15 @@ class BlueprintScorer:
             name: scheme.to_cuid_policy(spec)
             for name, scheme in BLUEPRINT_SCHEMES.items()
         }
-        # Batch-scoring caches (all keyed by value, never by identity):
-        # active-class tables, per-(blueprint, table) encodings, and
-        # per-(table, membership, scheme) composition signatures.  The
-        # planner rescores the same seed family plus a drifting beam
-        # frontier every tick, so encodings are overwhelmingly repeat
-        # hits.
+        # Scoring caches, keyed by value and kept only where the
+        # planner's traffic repeats (docs/PLANNING.md): active-class
+        # tables, per-(blueprint, table) encodings (a beam tick
+        # re-meets its seed family and earlier frontiers), and
+        # per-composition service-time rows (rate-independent: the
+        # fixed point depends on the composition signature only).
         self._tables: dict[tuple, _ClassTable] = {}
         self._encodings: dict[tuple, tuple] = {}
-        self._signatures: dict[tuple, tuple] = {}
-        # Per-composition service-time rows (rate-independent: the
-        # fixed point depends on the composition signature only) and
-        # per-population array encodings — repeat populations (the
-        # enumerated family every tick, a stable beam frontier) score
-        # without re-encoding anything.
         self._service_rows: dict[tuple, dict] = {}
-        self._populations: dict[tuple, dict] = {}
 
     def _mask_for(self, cls, scheme_name: str) -> int:
         policy = self._policies[scheme_name]
@@ -452,101 +453,6 @@ class BlueprintScorer:
         if cls.static_cuid is CacheUsage.SENSITIVE:
             return policy.sensitive_mask
         return policy.adaptive_sensitive_mask
-
-    def _solve(self, signature: tuple) -> dict[str, float]:
-        """Per-class per-instance rates for one composition signature
-        (the service's exact signature format, memo-shared)."""
-        memo = self.solve_memo
-        per_class = memo.get(signature) if memo is not None else None
-        if per_class is None:
-            specs = self._specs(signature)
-            results = self.simulator.simulate(specs)
-            per_class = _per_class_rates(signature, results)
-            if memo is not None:
-                memo[signature] = per_class
-            self.solves += 1
-        return per_class
-
-    def score(
-        self, blueprint: Blueprint, rates: dict
-    ) -> BlueprintScore:
-        """Evaluate one blueprint under per-class arrival rates
-        (requests/s, fleet-wide)."""
-        placement = blueprint.placement_map()
-        all_nodes = tuple(range(blueprint.nodes))
-        node_load: dict[int, list[tuple[str, float]]] = {
-            index: [] for index in all_nodes
-        }
-        for name in sorted(rates):
-            rate = rates[name]
-            if rate <= 1e-12:
-                continue
-            cls = self.classes.get(name)
-            if cls is None:
-                raise PlannerError(
-                    f"forecast class {name!r} is not in the catalog "
-                    f"({sorted(self.classes)})"
-                )
-            home = placement.get(cls.tenant) or all_nodes
-            share = rate / len(home)
-            for index in home:
-                node_load[index].append((name, share))
-        utilization = []
-        overload = 0.0
-        predicted: dict[str, float] = {}
-        for index in all_nodes:
-            load = node_load[index]
-            if not load:
-                utilization.append(0.0)
-                continue
-            scheme = blueprint.schemes[index]
-            signature = tuple(sorted(
-                (name, self._mask_for(self.classes[name], scheme), 1)
-                for name, _ in load
-            ))
-            per_class = self._solve(signature)
-            service_s = {
-                name: self.classes[name].work_tuples / per_class[name]
-                for name, _ in load
-            }
-            rho = sum(
-                share * service_s[name] for name, share in load
-            ) / self.max_concurrency
-            utilization.append(rho)
-            overload += max(0.0, rho - 1.0)
-            slack = max(1.0 - min(rho, RHO_CAP), 1.0 - RHO_CAP)
-            for name, _ in load:
-                group = self.classes[name].tenant
-                sojourn = service_s[name] / slack
-                if sojourn > predicted.get(group, 0.0):
-                    predicted[group] = sojourn
-        objective = 0.0
-        for group, target in sorted(self.targets.items()):
-            if group in predicted and target > 0:
-                objective = max(
-                    objective, predicted[group] / target
-                )
-        score = objective + OVERLOAD_WEIGHT * overload
-        return BlueprintScore(
-            blueprint=blueprint,
-            objective=objective,
-            overload=overload,
-            score=score,
-            utilization=tuple(utilization),
-            predicted_s=tuple(sorted(predicted.items())),
-        )
-
-    # -- batched scoring ----------------------------------------------
-    #
-    # score_many() is the vectorized twin of score(): encode the whole
-    # population into struct-of-arrays form, deduplicate the induced
-    # per-node compositions, solve only the distinct missing ones in a
-    # single batched simulator call, then replay the scalar scorer's
-    # arithmetic as elementwise array operations.  Every accumulation
-    # keeps the scalar loop's left-fold order (classes in sorted-name
-    # order, nodes in index order), so the resulting floats are
-    # bit-identical — the rank a population gets here is exactly the
-    # rank the scalar loop would have produced.
 
     def _specs(self, signature: tuple) -> list[QuerySpec]:
         return [
@@ -564,23 +470,6 @@ class BlueprintScorer:
         if table is None:
             table = self._tables[names] = _ClassTable(self, names)
         return table
-
-    def _signature_for(
-        self, table: _ClassTable, bits: int, scheme: str
-    ) -> tuple:
-        """The service-format composition signature for one node:
-        the classes whose membership bit is set, under one scheme."""
-        key = (table.names, bits, scheme)
-        signature = self._signatures.get(key)
-        if signature is None:
-            masks = table.masks[scheme]
-            signature = tuple(sorted(
-                (name, masks[k], 1)
-                for k, name in enumerate(table.names)
-                if bits >> table.group_col[k] & 1
-            ))
-            self._signatures[key] = signature
-        return signature
 
     def _encode(self, blueprint: Blueprint, table: _ClassTable):
         """Rate-independent encoding of one candidate: per-group home
@@ -607,10 +496,11 @@ class BlueprintScorer:
         return encoding
 
     def _solve_signatures(
-        self, signatures: list[tuple], jobs: int | None
+        self, signatures: list[tuple]
     ) -> dict[tuple, dict]:
         """Rates for every signature; missing ones solved in one
-        batched call (optionally fanned across worker processes)."""
+        batched call, fanned across the ambient :mod:`repro.parallel`
+        pool when it has more than one job."""
         memo = self.solve_memo
         solutions: dict[tuple, dict] = {}
         missing: list[tuple] = []
@@ -624,18 +514,13 @@ class BlueprintScorer:
                 solutions[signature] = per_class
         if not missing:
             return solutions
-        if jobs is None:
-            jobs = parallel_executor.current().jobs
+        context = parallel_executor.current()
+        pool = context.pool() if len(missing) > 1 else None
         solved: list[tuple]
-        pool = (
-            parallel_executor.current().pool()
-            if jobs > 1 and len(missing) > 1
-            else None
-        )
         if pool is not None:
             # Contiguous chunks, merged back in submission order: the
             # solves are pure, so job count changes wall time only.
-            chunk_count = min(jobs, len(missing))
+            chunk_count = min(context.jobs, len(missing))
             size = -(-len(missing) // chunk_count)
             futures = [
                 pool.submit(_solve_signatures_task, {
@@ -673,64 +558,38 @@ class BlueprintScorer:
 
     def _population(
         self, table: _ClassTable, blueprints: tuple
-    ) -> dict:
+    ) -> tuple[list, list]:
         """Rate-independent array encoding of one population: its
-        distinct compositions plus, per node-count partition, the
+        distinct composition keys plus, per node-count partition, the
         candidate indices, per-class home sizes and composition index
-        matrix — cached so a repeat population (the enumerated family
-        every tick, a stable beam frontier) re-encodes nothing."""
-        key = (
-            table.names,
-            tuple(blueprint.key() for blueprint in blueprints),
-        )
-        entry = self._populations.get(key)
-        if entry is not None:
-            return entry
-        if len(self._populations) >= 64:
-            # Beam rounds score transient populations; don't let their
-            # encodings accumulate without bound.
-            self._populations.clear()
+        matrix."""
         comp_ids: dict[tuple, int] = {}
-        comp_keys: list[tuple] = []
         encodings = []
-        for blueprint in blueprints:
-            sizes, keys = self._encode(blueprint, table)
-            row = []
-            for comp_key in keys:
-                comp = comp_ids.get(comp_key)
-                if comp is None:
-                    comp = comp_ids[comp_key] = len(comp_keys)
-                    comp_keys.append(comp_key)
-                row.append(comp)
-            encodings.append((sizes, row))
-        group_col = np.array(table.group_col, dtype=np.intp)
         by_nodes: dict[int, list[int]] = {}
         for index, blueprint in enumerate(blueprints):
+            sizes, keys = self._encode(blueprint, table)
+            encodings.append((sizes, [
+                comp_ids.setdefault(key, len(comp_ids)) for key in keys
+            ]))
             by_nodes.setdefault(blueprint.nodes, []).append(index)
-        partitions = []
-        for node_count, indices in by_nodes.items():
-            sizes = np.array(
-                [encodings[i][0] for i in indices],
-                dtype=np.float64,
-            )
-            partitions.append({
-                "node_count": node_count,
-                "indices": indices,
-                "sizes_by_class": sizes[:, group_col],
-                "comps": np.array(
-                    [encodings[i][1] for i in indices],
-                    dtype=np.intp,
+        group_col = np.array(table.group_col, dtype=np.intp)
+        partitions = [
+            (
+                indices,
+                np.array(
+                    [encodings[i][0] for i in indices],
+                    dtype=np.float64,
+                )[:, group_col],
+                np.array(
+                    [encodings[i][1] for i in indices], dtype=np.intp
                 ),
-                # (candidates, nodes, classes) service gather, built
-                # once the composition rows are solved.
-                "svc": None,
-            })
-        entry = {"comp_keys": comp_keys, "partitions": partitions}
-        self._populations[key] = entry
-        return entry
+            )
+            for indices in by_nodes.values()
+        ]
+        return list(comp_ids), partitions
 
     def _service_rows_for(
-        self, table: _ClassTable, comp_keys: list, jobs: int | None
+        self, table: _ClassTable, comp_keys: list
     ) -> list:
         """Per-composition service-time rows (0.0 for absent classes:
         they contribute exact zeros to the masked accumulations).
@@ -742,42 +601,33 @@ class BlueprintScorer:
         rows = self._service_rows.setdefault(table.names, {})
         fresh = [key for key in comp_keys if key not in rows]
         if fresh:
-            signatures: list[tuple] = []
-            for bits, scheme in fresh:
-                if not bits:
-                    continue
-                signature = self._signature_for(table, bits, scheme)
-                if signature not in signatures:
-                    signatures.append(signature)
-            solutions = self._solve_signatures(signatures, jobs)
+            signatures = {
+                key: table.signature(*key) for key in fresh if key[0]
+            }
+            solutions = self._solve_signatures(
+                list(dict.fromkeys(signatures.values()))
+            )
             class_count = len(table.names)
             for comp_key in fresh:
-                bits, scheme = comp_key
+                bits = comp_key[0]
                 row = np.zeros(class_count)
                 if bits:
-                    per_class = solutions[
-                        self._signature_for(table, bits, scheme)
-                    ]
+                    per_class = solutions[signatures[comp_key]]
                     for k, name in enumerate(table.names):
                         if bits >> table.group_col[k] & 1:
                             row[k] = table.work[k] / per_class[name]
                 rows[comp_key] = row
         return [rows[key] for key in comp_keys]
 
-    def score_many(
-        self,
-        blueprints,
-        rates: dict,
-        jobs: int | None = None,
-    ) -> BatchScores:
-        """Evaluate a whole candidate population in one pass.
+    def score_many(self, blueprints, rates: dict) -> BatchScores:
+        """Evaluate a whole candidate population in one pass under
+        per-class arrival rates (requests/s, fleet-wide).
 
-        Returns a :class:`BatchScores` whose per-candidate floats are
-        bit-identical to calling :meth:`score` on each blueprint.
-        ``jobs`` fans the missing composition solves across the
-        ambient :mod:`repro.parallel` pool (``None`` = the ambient
-        context's job count; solves are pure, so results never depend
-        on it).
+        Encodes the population as arrays, deduplicates the induced
+        per-node compositions, solves only the distinct missing ones
+        in one batched simulator call, then scores every candidate
+        with elementwise array arithmetic.  A candidate's floats do
+        not depend on the rest of the population.
         """
         blueprints = tuple(blueprints)
         names = tuple(
@@ -790,8 +640,8 @@ class BlueprintScorer:
         utilization: list = [None] * count
         predicted_rows: list = [None] * count
         if not names:
-            # No active classes: every node idles — the scalar scorer
-            # returns all-zero scores with empty predictions.
+            # No active classes: every node idles, so every score is
+            # zero with empty predictions.
             empty = np.zeros(0)
             for index, blueprint in enumerate(blueprints):
                 utilization[index] = np.zeros(blueprint.nodes)
@@ -804,10 +654,8 @@ class BlueprintScorer:
         rate_vec = np.array(
             [rates[name] for name in names], dtype=np.float64
         )
-        population = self._population(table, blueprints)
-        service = self._service_rows_for(
-            table, population["comp_keys"], jobs
-        )
+        comp_keys, partitions = self._population(table, blueprints)
+        service = np.array(self._service_rows_for(table, comp_keys))
         class_count = len(names)
         group_count = len(table.group_names)
         targets = [
@@ -815,24 +663,14 @@ class BlueprintScorer:
             for group, target in sorted(self.targets.items())
             if group in table.group_index and target > 0
         ]
-        # Vectorized scoring, one partition per distinct node count.
-        # Every accumulation replays the scalar loop's left-fold order
-        # (classes in sorted-name order, nodes in index order) with
-        # exact-zero terms for absent classes, so the floats match the
-        # scalar scorer bit for bit.
-        for partition in population["partitions"]:
-            node_count = partition["node_count"]
-            indices = partition["indices"]
-            rows = len(indices)
-            share = (
-                rate_vec[np.newaxis, :]
-                / partition["sizes_by_class"]
-            )
-            svc = partition["svc"]
-            if svc is None:
-                svc = partition["svc"] = np.stack(service)[
-                    partition["comps"]
-                ]
+        # One partition per distinct node count.  Every accumulation
+        # is an explicit left fold (classes in sorted-name order,
+        # nodes in index order) with exact-zero terms for absent
+        # classes, so each row's floats are fixed by its own inputs.
+        for indices, sizes_by_class, comps in partitions:
+            rows, node_count = comps.shape
+            share = rate_vec[np.newaxis, :] / sizes_by_class
+            svc = service[comps]
             acc = np.zeros((rows, node_count))
             term = np.empty((rows, node_count))
             for k in range(class_count):
@@ -845,9 +683,7 @@ class BlueprintScorer:
             overload = np.zeros(rows)
             for node in range(node_count):
                 overload += excess[:, node]
-            slack = np.maximum(
-                1.0 - np.minimum(rho, RHO_CAP), 1.0 - RHO_CAP
-            )
+            slack = 1.0 - np.minimum(rho, RHO_CAP)
             sojourn = svc / slack[:, :, np.newaxis]
             predicted = np.empty((rows, group_count))
             for column in range(group_count):

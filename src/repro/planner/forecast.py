@@ -342,6 +342,10 @@ def training_from_report(payload: dict) -> tuple:
     ``plan_training``: one ``((class, count), ...)`` tuple per window,
     entries sorted by class name.
     """
+    if not isinstance(payload, dict):
+        raise PlannerError(
+            f"report must be a JSON object: {type(payload).__name__}"
+        )
     block = payload.get("arrival_windows")
     if not isinstance(block, dict):
         version = payload.get(
@@ -357,10 +361,23 @@ def training_from_report(payload: dict) -> tuple:
         raise PlannerError(
             "arrival_windows block has no per-class counts"
         )
+    for window in windows:
+        if not isinstance(window, dict):
+            raise PlannerError(
+                f"arrival window must map class to count: {window!r}"
+            )
+        for name, count in window.items():
+            if (
+                not isinstance(count, int) or isinstance(count, bool)
+                or count < 0
+            ):
+                raise PlannerError(
+                    f"arrival count for {name!r} must be a "
+                    f"non-negative integer: {count!r}"
+                )
     return tuple(
         tuple(sorted(
-            (str(name), int(count))
-            for name, count in window.items()
+            (str(name), count) for name, count in window.items()
         ))
         for window in windows
     )

@@ -32,6 +32,7 @@ import time
 from ..errors import PlannerError
 from ..obs import runtime
 from .blueprint import (
+    MAX_FAMILY_CANDIDATES,
     Blueprint,
     BlueprintScore,
     BlueprintScorer,
@@ -41,9 +42,9 @@ from .blueprint import (
 from .forecast import FORECASTERS, Forecast, make_forecaster
 from .search import (
     SEARCH_STRATEGIES,
-    ScoredEntry,
     SearchConfig,
     beam_search,
+    scored_entries,
 )
 from .transition import MigrationPlan, plan_transition
 
@@ -64,7 +65,6 @@ class PlannerConfig:
     period_s: float = 20.0
     window_s: float = 1.0
     margin: float = 0.1
-    max_candidates: int = 64
     #: Candidate generation: ``enum`` scores the bounded family only,
     #: ``beam`` runs the seeded beam search on top of it.
     search: str = "enum"
@@ -123,10 +123,11 @@ class PlannerConfig:
                     len(entry) != 2
                     or not isinstance(entry[0], str)
                     or not isinstance(entry[1], int)
+                    or entry[1] < 0
                 ):
                     raise PlannerError(
                         "training windows must be ((class, count), "
-                        f"...) tuples: {entry!r}"
+                        f"...) tuples with counts >= 0: {entry!r}"
                     )
 
     def search_config(self) -> SearchConfig:
@@ -147,7 +148,7 @@ class PlannerConfig:
             "period_s": self.period_s,
             "window_s": self.window_s,
             "margin": self.margin,
-            "max_candidates": self.max_candidates,
+            "max_candidates": MAX_FAMILY_CANDIDATES,
             "search": self.search_config().to_dict(),
             "training_windows": len(self.training),
         }
@@ -217,10 +218,7 @@ class FleetPlanner:
         })
         self.groups = tuple(groups)
         self.candidates = enumerate_blueprints(
-            nodes,
-            groups,
-            batch_group=BATCH_GROUP,
-            max_candidates=config.max_candidates,
+            nodes, groups, batch_group=BATCH_GROUP
         )
         # Boot configuration: everyone everywhere under the paper
         # scheme — exactly what static-policy nodes program at start.
@@ -294,7 +292,7 @@ class FleetPlanner:
                 min_nodes=self.nodes,
                 max_nodes=self.nodes,
             )
-            entries = list(result.entries.values())
+            scored = result.entries
             search = result.stats
             for key, value in search.to_dict().items():
                 self.search_totals[key] += value
@@ -304,32 +302,23 @@ class FleetPlanner:
             metrics.counter("planner.search.improvements").inc(
                 search.frontier_improvements
             )
-            incumbent_entry = result.get(self.current)
         else:
-            batch = self.scorer.score_many(self.candidates, rates)
-            entries = [
-                ScoredEntry(
-                    blueprint=candidate,
-                    score=float(batch.scores[row]),
-                    batch=batch,
-                    row=row,
+            # The enumerated family always holds the incumbent: the
+            # boot spread sorts first by key, and every later
+            # incumbent is an earlier winner from the same family.
+            scored = {
+                entry.blueprint.key(): entry
+                for entry in scored_entries(
+                    self.scorer.score_many(self.candidates, rates)
                 )
-                for row, candidate in enumerate(batch.blueprints)
-            ]
-            self.search_totals["candidates_scored"] += len(entries)
-            incumbent_entry = None
-            for entry in entries:
-                if entry.blueprint.key() == self.current.key():
-                    incumbent_entry = entry
-                    break
+            }
+            self.search_totals["candidates_scored"] += len(scored)
+        entries = list(scored.values())
         metrics.counter("planner.candidates").inc(len(entries))
         metrics.counter("planner.search.candidates").inc(
             len(entries)
         )
-        if incumbent_entry is not None:
-            incumbent = incumbent_entry.materialize()
-        else:
-            incumbent = self.scorer.score(self.current, rates)
+        incumbent = scored[self.current.key()].materialize()
         # Rank: model score, then fewer migrations, then canonical key
         # — a full deterministic order with no float ties left to
         # chance.  Migration counts are computed lazily, only for the

@@ -118,15 +118,25 @@ class ScoredEntry:
         return self.batch.materialize(self.row)
 
 
+def scored_entries(batch: BatchScores) -> list[ScoredEntry]:
+    """One :class:`ScoredEntry` per candidate of a scored batch."""
+    return [
+        ScoredEntry(
+            blueprint=blueprint,
+            score=float(batch.scores[row]),
+            batch=batch,
+            row=row,
+        )
+        for row, blueprint in enumerate(batch.blueprints)
+    ]
+
+
 @dataclass
 class SearchResult:
     """Everything one search pass evaluated."""
 
     entries: dict = field(default_factory=dict)
     stats: SearchStats = field(default_factory=SearchStats)
-
-    def get(self, blueprint: Blueprint) -> ScoredEntry | None:
-        return self.entries.get(blueprint.key())
 
 
 # -- neighborhoods -----------------------------------------------------
@@ -344,7 +354,6 @@ def beam_search(
     config: SearchConfig,
     min_nodes: int | None = None,
     max_nodes: int | None = None,
-    jobs: int | None = None,
 ) -> SearchResult:
     """Deterministic beam search seeded by ``seeds``.
 
@@ -359,15 +368,10 @@ def beam_search(
     stats = result.stats
 
     def evaluate(blueprints: list[Blueprint]) -> None:
-        batch = scorer.score_many(blueprints, rates, jobs=jobs)
-        for row, blueprint in enumerate(batch.blueprints):
-            entries[blueprint.key()] = ScoredEntry(
-                blueprint=blueprint,
-                score=float(batch.scores[row]),
-                batch=batch,
-                row=row,
-            )
-        stats.candidates_scored += len(batch.blueprints)
+        batch = scorer.score_many(blueprints, rates)
+        for entry in scored_entries(batch):
+            entries[entry.blueprint.key()] = entry
+        stats.candidates_scored += len(batch)
 
     unique_seeds: dict[tuple, Blueprint] = {}
     for seed in seeds:

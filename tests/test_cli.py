@@ -219,6 +219,21 @@ class TestClusterCommand:
                 ["cluster", "--router", "random"]
             )
 
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"arrival_windows": {"classes": [["scan", 1]]}},
+        {"arrival_windows": {"classes": [{"scan": "x"}]}},
+        {"arrival_windows": {"classes": [{"scan": -3}]}},
+        {"arrival_windows": {"classes": [{"scan": 2.7}]}},
+    ])
+    def test_bad_plan_train_report_exits_2(self, tmp_path, capsys, payload):
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["cluster", "--policy", "planned", "--duration", "1",
+                "--plan-train", str(path), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_cluster_writes_deterministic_report(
         self, tmp_path, capsys
     ):

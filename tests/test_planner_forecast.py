@@ -9,6 +9,7 @@ from repro.errors import PlannerError
 from repro.planner import (
     FORECASTERS,
     EwmaForecaster,
+    PlannerConfig,
     SeasonalWindowForecaster,
     fit_forecaster,
     forecaster_from_dict,
@@ -165,3 +166,20 @@ class TestTrainingFromReport:
             training_from_report(
                 {"arrival_windows": {"classes": None}}
             )
+
+    @pytest.mark.parametrize("payload, match", [
+        ([1, 2], "JSON object"),
+        ({"arrival_windows": {"classes": [["scan", 1]]}}, "map class"),
+        ({"arrival_windows": {"classes": [{"scan": "x"}]}}, "integer"),
+        ({"arrival_windows": {"classes": [{"scan": -3}]}}, "integer"),
+        ({"arrival_windows": {"classes": [{"scan": 2.7}]}}, "integer"),
+        ({"arrival_windows": {"classes": [{"scan": True}]}}, "integer"),
+    ])
+    def test_rejects_bad_payloads_windows_and_counts(self, payload, match):
+        with pytest.raises(PlannerError, match=match):
+            training_from_report(payload)
+
+    def test_planner_config_rejects_negative_counts(self):
+        with pytest.raises(PlannerError, match=">= 0"):
+            PlannerConfig(training=((("scan", -1),),))
+        assert PlannerConfig(training=((("scan", 0),),)).training

@@ -243,9 +243,7 @@ class TestBeamSearch:
         memo: dict = {}
         scorer = _scorer(memo)
         seeds = enumerate_blueprints(4, GROUPS)
-        seed_best = min(
-            scorer.score(c, rates).score for c in seeds
-        )
+        seed_best = min(scorer.score_many(seeds, rates).scores)
         result = beam_search(
             scorer, rates, seeds,
             SearchConfig(strategy="beam", seed=0),
@@ -257,7 +255,7 @@ class TestBeamSearch:
         assert best <= seed_best
         assert result.stats.candidates_scored >= len(seeds)
 
-    def test_entries_materialize_to_exact_scalar_scores(self):
+    def test_entries_materialize_to_exact_batch_scores(self):
         rates = _rates()
         memo: dict = {}
         scorer = _scorer(memo)
@@ -270,11 +268,9 @@ class TestBeamSearch:
             min_nodes=3, max_nodes=3,
         )
         for entry in result.entries.values():
-            scalar = scorer.score(entry.blueprint, rates)
-            assert entry.materialize().to_dict() == (
-                scalar.to_dict()
-            )
-            assert entry.score == scalar.score
+            alone = _scorer(memo).score_many((entry.blueprint,), rates)
+            assert entry.materialize() == alone.materialize(0)
+            assert entry.score == float(alone.scores[0])
 
     def test_requires_a_seed(self):
         with pytest.raises(PlannerError, match="seed"):

@@ -51,6 +51,10 @@ FLEET_CASES = {
         nodes=3, router="planned", policy="planned", plan_search="beam",
         profile="diurnal", mix="shift", duration_s=5.0, rate_per_s=16.0,
     ), 1),
+    "planned-enum": (dict(
+        nodes=3, router="planned", policy="planned", plan_search="enum",
+        profile="diurnal", mix="shift", duration_s=5.0, rate_per_s=16.0,
+    ), 1),
     "thrash-jail": (dict(
         nodes=2, router="hash", rate_per_s=6.0, defense="jail",
         attacks=(AttackSpec("thrash", start_s=1.0, rate_per_s=20.0),),
@@ -92,6 +96,8 @@ GOLDEN = {
         "ed6635bc9e274848e2111045250322b7232600eceb75e86733bf8452bd244160",
     "planned-beam":
         "5143b390fd9665fd04feaea257d46ac1f2bdd1ac7853edf920fab7fc74b1575d",
+    "planned-enum":
+        "2e9450ae0279849f1302ffc7be455dd02504c91a7b3699bc8d40fb441af72cbf",
     "thrash-jail":
         "064111154ca57618bcb15a75085175d5874cc0e790c9c57c5f45c369c138765f",
 }
