@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
             "fleet report merging per-node latency histograms into "
             "fleet-wide SLO verdicts.  Deterministic: the same "
             "arguments produce a byte-identical report for any "
-            "--jobs value."
+            "--fleet-jobs value."
         ),
     )
     cluster.add_argument(
@@ -394,21 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet seed (recorded in the report)",
     )
     cluster.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help=(
-            "accepted for interface symmetry; the report is "
-            "byte-identical for any value (see --fleet-jobs for "
-            "actual fan-out)"
-        ),
-    )
-    cluster.add_argument(
         "--fleet-jobs", type=int, default=1, metavar="N",
         help=(
-            "simulate nodes on N worker processes (hash router "
-            "only — epoch-parallel execution; byte-identical "
-            "reports for any value; stateful routers fall back to "
-            "sequential with a report-recorded warning) "
-            "(default: 1)"
+            "simulate nodes on N worker processes (epoch-parallel "
+            "execution: hash router, or a planned fleet whose "
+            "planner never fires; byte-identical reports for any "
+            "value; stateful routers, firing planners and defended "
+            "fleets run sequentially with a report-recorded "
+            "warning) (default: 1)"
         ),
     )
     cluster.add_argument(
@@ -779,10 +772,6 @@ def _run_cluster(args: argparse.Namespace) -> int:
     from .planner import training_from_report
     from .serve.arrivals import DEFAULT_ARRIVAL_SEED
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
-        return 2
     if args.fleet_jobs < 1:
         print(
             f"error: --fleet-jobs must be >= 1, got "

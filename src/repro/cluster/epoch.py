@@ -30,7 +30,6 @@ stay on the sequential path.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -40,12 +39,16 @@ from .. import seeding
 from ..errors import ClusterError
 from ..obs.runtime import observing
 from ..parallel.executor import parallel_context
-from ..serve.events import EventKind
-from ..serve.service import ARRIVAL_WINDOW_S
+from ..serve.arrivals import ArrivalWindows
 from .faults import FaultEvent
 from .workload import tenant_id
 
 _INF = float("inf")
+
+#: Routers whose decisions read only (tenant key, alive set) — never
+#: node state — so a fleet behind them can be planned ahead.
+#: ``planned`` qualifies only while its placement is frozen.
+PLANNABLE_ROUTERS = ("hash", "planned")
 
 
 @dataclass(frozen=True)
@@ -132,10 +135,9 @@ class FleetPlan:
     forwarded_in: list[int]
     failover_in: list[int]
     sourced: list[int]
-    #: Fleet-level per-window arrival counts (same layout the
-    #: sequential loop accumulates — one dict per ARRIVAL_WINDOW_S).
-    class_windows: list[dict]
-    tenant_windows: list[dict]
+    #: Fleet-level per-window arrival counts (what the sequential loop
+    #: accumulates).
+    windows: ArrivalWindows
 
 
 def plan_fleet(config, sources, fault_events, router) -> FleetPlan:
@@ -152,15 +154,13 @@ def plan_fleet(config, sources, fault_events, router) -> FleetPlan:
     fires) — routing is then a pure function of (tenant key, alive
     set), exactly like the ring.
     """
-    if router.name not in ("hash", "planned"):
+    if router.name not in PLANNABLE_ROUTERS:
         raise ClusterError(
             "epoch planning requires a state-free routing function "
             f"('hash', or 'planned' with a frozen placement): "
             f"{router.name!r} reads live node state per decision"
         )
     epochs = split_epochs(fault_events, config.nodes)
-    grid = config.sample_grid()
-    horizon = config.duration_s
 
     times: list[float] = []
     source_ids: list[int] = []
@@ -169,11 +169,9 @@ def plan_fleet(config, sources, fault_events, router) -> FleetPlan:
     key_codes: list[int] = []
     interned: dict[str, int] = {}
     sourced = [0] * config.nodes
-    window_count = max(1, math.ceil(horizon / ARRIVAL_WINDOW_S))
-    class_windows: list[dict] = [{} for _ in range(window_count)]
-    tenant_windows: list[dict] = [{} for _ in range(window_count)]
+    windows = ArrivalWindows(config.duration_s)
     for index, source in enumerate(sources):
-        source.pull(0.0, horizon, grid)
+        source.pull(0.0)
         tenant_rng = source.tenant_rng
         per_group = config.tenants_per_group
         while source.pending is not None:
@@ -190,14 +188,8 @@ def plan_fleet(config, sources, fault_events, router) -> FleetPlan:
             key_codes.append(code)
             sourced[index] += 1
             source.generated += 1
-            window = min(
-                int(timestamp / ARRIVAL_WINDOW_S), window_count - 1
-            )
-            counts = class_windows[window]
-            counts[cls.name] = counts.get(cls.name, 0) + 1
-            counts = tenant_windows[window]
-            counts[cls.tenant] = counts.get(cls.tenant, 0) + 1
-            source.pull(timestamp, horizon, grid)
+            windows.add(timestamp, cls.name, cls.tenant)
+            source.pull(timestamp)
 
     generated = len(times)
     starts = np.array(
@@ -275,8 +267,7 @@ def plan_fleet(config, sources, fault_events, router) -> FleetPlan:
         forwarded_in=forwarded_in,
         failover_in=failover_in,
         sourced=sourced,
-        class_windows=class_windows,
-        tenant_windows=tenant_windows,
+        windows=windows,
     )
 
 
@@ -327,11 +318,7 @@ def _simulate_node(payload: dict) -> dict:
         calibration=payload["calibration"],
         solve_memo=dict(payload["memo"]),
     )
-    if node.controller is not None:
-        node.queue.push(
-            min(node.controller.interval_s, config.duration_s / 2.0),
-            EventKind.CONTROL,
-        )
+    node.schedule_first_control()
     arrivals = payload["arrivals"]
     faults = payload["faults"]
     queue = node.queue
@@ -366,7 +353,6 @@ def _simulate_node(payload: dict) -> dict:
             arrival_pos += 1
             accept(time_s, cls)
     prewarmed = payload["memo"].keys()
-    rate_cache = node.rate_cache
     return {
         "index": index,
         "report": node.report(),
@@ -386,10 +372,6 @@ def _simulate_node(payload: dict) -> dict:
             for signature, rates in node.solve_memo.items()
             if signature not in prewarmed
         },
-        "rate_cache_entries": (
-            rate_cache.export()
-            if hasattr(rate_cache, "export")
-            else tuple(rate_cache.items())
-        ),
-        "rate_cache_evictions": getattr(rate_cache, "evictions", 0),
+        "rate_cache_entries": node.rate_cache.export(),
+        "rate_cache_evictions": node.rate_cache.evictions,
     }

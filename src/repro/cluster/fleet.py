@@ -11,41 +11,50 @@ pure function of (cluster seed, node index) and never of the fleet
 size.
 
 **Global event order.**  The fleet loop repeatedly takes the earliest
-candidate across three lanes and processes exactly it:
+candidate across six lanes and processes exactly it.  The lanes are
+declared once, as a table in tie-break order (``Cluster._lanes``):
 
-1. **faults** — the next kill/recover from the (explicit or seeded)
+0. **faults** — the next kill/recover from the (explicit or seeded)
    schedule,
-2. **node events** — the earliest head of any node's own event queue
+1. **node events** — the head of each node's own event queue
    (completions, controller ticks),
-3. **arrivals** — the earliest pending arrival across source streams.
+2. **arrivals** — each source stream's pending arrival,
+3. **planner** — the next plan tick (``planned`` policy) and the next
+   migration-deferred arrival,
+4. **attacks** — each scheduled hostile stream's pending arrival,
+5. **defense** — the next contention-detector tick.
 
-The candidates live in one **merged event heap** keyed
-``(time, lane, index)`` with per-``(lane, index)`` version counters
-for lazy invalidation: a lane whose candidate changes pushes a fresh
-entry and bumps its version, and stale entries are discarded on pop —
-the same lazy-invalidation idea the nodes use for superseded
-completions.  Selecting the next event is therefore O(log n) instead
-of an O(N)-per-event scan over every node and source, which is what
-made fleet throughput *fall* as N grew.
+Each table entry holds the lane's candidate-time function, its fire
+function and its index range.  The candidates live in one **merged
+event heap** keyed ``(time, lane, index)`` with per-``(lane, index)``
+version counters for lazy invalidation: a lane whose candidate changes
+pushes a fresh entry and bumps its version, and stale entries are
+discarded on pop — the same lazy-invalidation idea the nodes use for
+superseded completions.  Selecting the next event is therefore
+O(log n) instead of an O(N)-per-event scan over every node and
+source, which is what made fleet throughput *fall* as N grew.
 
 Ties break by (time, lane, index) — pure integers, no hash order — so
 one seed produces one event interleaving and therefore one
-byte-identical fleet report, regardless of ``--jobs``.
+byte-identical fleet report, regardless of ``fleet_jobs``.
 
-**Epoch-parallel execution.**  Under the ``hash`` router a routing
-decision reads only the ring and the alive set — never node state — so
-each node's event stream is a pure function of (cluster seed, node
-index, fault schedule).  ``run(fleet_jobs=N)`` then skips the merged
-heap entirely: :mod:`repro.cluster.epoch` splits the timeline into
-epochs at fault boundaries, pre-routes every arrival in a vectorized
-batch, fans the per-node simulations out through ``repro.parallel``
-workers, and this module splices the results back into the same
-canonical report — byte-identical to the sequential loop (the
-equivalence suite in ``tests/test_cluster_parallel.py`` pins it).
-Stateful routers (``least-loaded``, ``affinity``) read live queue
-state per decision, so ``fleet_jobs > 1`` degrades gracefully to the
-sequential loop with a warning recorded in the report's ``execution``
-block.
+**Epoch-parallel execution.**  Under the ``hash`` router (and the
+``planned`` router while an idle planner keeps its placement frozen) a
+routing decision reads only the tenant key and the alive set — never
+node state — so each node's event stream is a pure function of
+(cluster seed, node index, fault schedule).  ``run(fleet_jobs=N)``
+then skips the merged heap entirely: :mod:`repro.cluster.epoch`
+splits the timeline into epochs at fault boundaries, pre-routes every
+arrival in a vectorized batch, fans the per-node simulations out
+through ``repro.parallel`` workers, and this module splices the
+results back into the same canonical report — byte-identical to the
+sequential loop (the equivalence suite in
+``tests/test_cluster_parallel.py`` pins it).
+One rule (``Cluster._sequential_reason``) keeps a fleet on the
+sequential loop, first blocker first: a defended fleet, a planner that
+fires, or a stateful router (``least-loaded``, ``affinity``) that reads
+live queue state per decision.  The reason is recorded as a warning in
+the report's ``execution`` block.
 
 **Isolation of node state.**  Arrivals reach a node through
 ``node.accept()`` — they never pass through the node's event queue —
@@ -85,7 +94,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter_ns
@@ -94,11 +102,7 @@ import numpy as np
 
 from .. import seeding
 from ..config import SystemSpec
-from ..defense.attacks import (
-    AttackSpec,
-    attack_classes,
-    validate_attacks,
-)
+from ..defense.attacks import attack_classes, validate_attacks
 from ..defense.detector import ContentionDetector, DefenseConfig
 from ..errors import ClusterError, DefenseError, PlannerError
 from ..hardware.cat import contiguous_mask
@@ -112,22 +116,24 @@ from ..planner import (
     FleetPlanner,
     PlannerConfig,
 )
-from ..serve.admission import AdmissionDecision
 from ..serve.arrivals import (
+    ARRIVAL_WINDOW_S,
     DEFAULT_ARRIVAL_SEED,
+    ArrivalWindows,
     PoissonArrivals,
     SampleGrid,
     WorkloadMix,
     build_arrivals,
+    next_sampled_arrival,
 )
-from ..serve.events import EventKind
-from ..serve.service import (
-    ARRIVAL_WINDOW_S,
-    POLICIES,
-    ServiceConfig,
-)
+from ..serve.service import POLICIES, ServiceConfig
 from ..serve.slo import SloTarget, SloTracker
-from .epoch import plan_fleet, simulate_node_task, split_epochs
+from .epoch import (
+    PLANNABLE_ROUTERS,
+    plan_fleet,
+    simulate_node_task,
+    split_epochs,
+)
 from .faults import FaultSpec, expand_schedule, validate_schedule
 from .node import ClusterNode
 from .ring import DEFAULT_VIRTUAL_NODES
@@ -312,19 +318,6 @@ class ClusterConfig:
             self.plan_period_s if self.plan_period_s is not None
             else self.duration_s
         )
-        try:
-            training = tuple(
-                tuple(
-                    (str(name), int(count))
-                    for name, count in window
-                )
-                for window in self.plan_training
-            )
-        except (TypeError, ValueError) as error:
-            raise PlannerError(
-                "plan_training must be ((class, count), ...) "
-                f"window tuples: {self.plan_training!r}"
-            ) from error
         return PlannerConfig(
             interval_s=self.plan_interval_s,
             horizon_s=self.plan_horizon_s,
@@ -340,7 +333,9 @@ class ClusterConfig:
             # The search's subsampling draws from the run seed: the
             # beam stays inside the fleet's determinism domain.
             search_seed=self.seed,
-            training=training,
+            # Passed through as given (JSON lists become tuples):
+            # PlannerConfig is the one place that checks the counts.
+            training=_as_tuples(self.plan_training),
         )
 
     def defense_config(self) -> DefenseConfig:
@@ -433,6 +428,13 @@ class ClusterConfig:
         }
 
 
+def _as_tuples(value):
+    """``value`` with every (nested) list turned into a tuple."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_as_tuples(item) for item in value)
+    return value
+
+
 @dataclass
 class ClusterReport:
     """Deterministic summary of one fleet run."""
@@ -518,69 +520,28 @@ class ClusterReport:
 
 @dataclass
 class _Source:
-    """One node's front-end stream: its next pending arrival."""
+    """One seeded arrival stream and its next pending arrival.
 
-    process: object
-    tenant_rng: np.random.Generator
-    pending: tuple | None = None
-    generated: int = 0
-
-    def pull(
-        self,
-        after_s: float,
-        horizon_s: float,
-        grid: SampleGrid | None = None,
-    ) -> None:
-        timestamp, cls = self.process.next_arrival(after_s)
-        if grid is not None:
-            # Jump over skipped windows without drawing their
-            # arrivals (O(1) per skipped stretch).
-            while timestamp < horizon_s and not grid.simulated(
-                timestamp
-            ):
-                runtime.metrics.counter(
-                    "serve.sample.window_jumps"
-                ).inc()
-                timestamp, cls = self.process.next_arrival(
-                    grid.next_simulated_start(timestamp)
-                )
-        self.pending = (
-            (timestamp, cls) if timestamp < horizon_s else None
-        )
-
-
-@dataclass
-class _AttackStream:
-    """One scheduled hostile tenant stream (event lane 4).
-
-    Mirrors :class:`_Source` but carries a single attack class, its
-    own seeded Poisson process (``derive_from(seed, "attack/<i>")``),
-    and a private horizon — the spec's stop instant clipped to the run
-    end — so attack timing never perturbs any node's arrival stream.
+    Node ``i``'s front-end stream (lane 2) draws a tenant per arrival
+    from ``tenant_rng``.  A scheduled hostile stream (lane 4) is one
+    tenant ``key`` with its own Poisson process
+    (``derive_from(seed, "attack/<i>")``) and a private horizon — the
+    spec's stop instant clipped to the run end — so attack timing never
+    perturbs any node's arrival stream.
     """
 
-    spec: AttackSpec
-    cls: object
-    key: str
     process: object
     horizon_s: float
+    grid: SampleGrid | None
+    tenant_rng: np.random.Generator | None = None
+    key: str | None = None
     pending: tuple | None = None
     generated: int = 0
 
-    def pull(
-        self, after_s: float, grid: SampleGrid | None = None
-    ) -> None:
-        timestamp, cls = self.process.next_arrival(after_s)
-        if grid is not None:
-            while timestamp < self.horizon_s and not grid.simulated(
-                timestamp
-            ):
-                runtime.metrics.counter(
-                    "serve.sample.window_jumps"
-                ).inc()
-                timestamp, cls = self.process.next_arrival(
-                    grid.next_simulated_start(timestamp)
-                )
+    def pull(self, after_s: float) -> None:
+        timestamp, cls = next_sampled_arrival(
+            self.process, after_s, self.horizon_s, self.grid
+        )
         self.pending = (
             (timestamp, cls) if timestamp < self.horizon_s else None
         )
@@ -639,6 +600,7 @@ class Cluster:
                     shared_cuids, shared_reports
                 )
             self.nodes.append(node)
+        grid = config.sample_grid()
         self._sources = [
             _Source(
                 process=build_arrivals(
@@ -649,6 +611,8 @@ class Cluster:
                         config.seed, f"node/{index}"
                     ),
                 ),
+                horizon_s=config.duration_s,
+                grid=grid,
                 tenant_rng=np.random.default_rng(
                     seeding.derive_from(
                         config.seed, f"node/{index}/tenants"
@@ -657,14 +621,12 @@ class Cluster:
             )
             for index in range(config.nodes)
         ]
-        self._sample_grid = config.sample_grid()
         self._fault_events = expand_schedule(config.faults)
         self._epochs = split_epochs(self._fault_events, config.nodes)
         self._fault_index = 0
         self._alive = set(range(config.nodes))
         self._alive_frozen = frozenset(self._alive)
         self._warnings: list[str] = []
-        self._fault_log: list[dict] = []
         # Merged event heap: (time, lane, index, version) entries with
         # per-(lane, index) versions for lazy invalidation.
         self._frontier: list[tuple[float, int, int, int]] = []
@@ -676,18 +638,8 @@ class Cluster:
         self.shed_no_node = 0
         self._ran = False
         # Fleet-level arrival windows (always recorded — they are the
-        # report's forecaster-training block), one slot per
-        # ARRIVAL_WINDOW_S of the run; drain-phase times clamp into
-        # the last window.
-        window_count = max(
-            1, math.ceil(config.duration_s / ARRIVAL_WINDOW_S)
-        )
-        self._class_windows: list[dict] = [
-            {} for _ in range(window_count)
-        ]
-        self._tenant_windows: list[dict] = [
-            {} for _ in range(window_count)
-        ]
+        # report's forecaster-training block).
+        self._windows = ArrivalWindows(config.duration_s)
         # Planner state (policy "planned" only).
         self.planner: FleetPlanner | None = None
         self._next_plan_tick: float | None = None
@@ -729,7 +681,7 @@ class Cluster:
         # see repro.defense and docs/DEFENSE.md).
         self._attacks = validate_attacks(tuple(config.attacks))
         self._defense_config = config.defense_config()
-        self._attack_streams: list[_AttackStream] = []
+        self._attack_streams: list[_Source] = []
         self.detector: ContentionDetector | None = None
         self._next_defense_tick: float | None = None
         #: The jail: the narrowest CAT mask that keeps hardware
@@ -755,10 +707,7 @@ class Cluster:
         )
         for index, attack in enumerate(self._attacks):
             cls = attack_catalog[attack.profile]
-            self._attack_streams.append(_AttackStream(
-                spec=attack,
-                cls=cls,
-                key=tenant_id(attack.profile, index),
+            self._attack_streams.append(_Source(
                 process=PoissonArrivals(
                     attack.rate_per_s,
                     ((0.0, WorkloadMix(
@@ -775,6 +724,8 @@ class Cluster:
                     if attack.stop_s is not None
                     else config.duration_s
                 ),
+                grid=grid,
+                key=tenant_id(attack.profile, index),
             ))
         #: tenant group -> class names, for jail installation.
         self._group_class_names: dict[str, tuple[str, ...]] = {}
@@ -811,45 +762,57 @@ class Cluster:
             self._next_defense_tick = min(
                 self._defense_config.interval_s, config.duration_s
             )
+        #: The event lanes, declared once in tie-break order: per lane
+        #: (candidate time, fire, index range), indexed by the lane
+        #: number heap entries carry.  Lane 3's index 0 is the next
+        #: plan tick, index 1 the next deferred-arrival injection.
+        self._lanes = (
+            (self._fault_time, self._process_fault, range(1)),
+            (self._node_time, self._process_node_event,
+             range(config.nodes)),
+            (self._source_time, self._process_arrival,
+             range(config.nodes)),
+            (self._planner_time, self._process_planner, range(2)),
+            (self._attack_time, self._process_attack_arrival,
+             range(len(self._attack_streams))),
+            (self._defense_time, self._process_defense_tick, range(1)),
+        )
 
     # -- lanes ---------------------------------------------------------
     #
-    # Lane 0 is the fault schedule, lane 1 the node event queues, lane
-    # 2 the source streams, lane 3 the planner (index 0: the next plan
-    # tick; index 1: the next deferred-arrival injection), lane 4 the
-    # attack streams (one index per AttackSpec), lane 5 the defense
-    # tick (index 0).  Each (lane, index) pair has at most one
-    # *current* heap entry — the one whose version matches
-    # ``_lane_versions`` — so popping the heap yields exactly the
-    # (time, lane, index) minimum the previous O(N) scan computed.  At
-    # equal times faults precede node events precede arrivals precede
-    # planner actions precede attacks precede defense ticks (so
-    # same-instant completions land in their window before the
-    # detector reads it).
+    # Each (lane, index) pair has at most one *current* heap entry — the
+    # one whose version matches ``_lane_versions`` — so popping the heap
+    # yields exactly the (time, lane, index) minimum of every lane's
+    # candidate.  At equal times faults precede node events precede
+    # arrivals precede planner actions precede attacks precede defense
+    # ticks (so same-instant completions land in their window before
+    # the detector reads it).  Candidate-time functions return None
+    # when the lane is idle; fire functions take the lane index.
 
-    def _lane_time(self, lane: int, index: int) -> float | None:
-        """The lane's current candidate time, or None when idle."""
-        if lane == 0:
-            if self._fault_index < len(self._fault_events):
-                return self._fault_events[self._fault_index].time_s
-            return None
-        if lane == 1:
-            node = self.nodes[index]
-            return node.queue.peek_time() if node.queue else None
-        if lane == 3:
-            if index == 0:
-                return self._next_plan_tick
-            return self._deferred[0][0] if self._deferred else None
-        if lane == 4:
-            stream = self._attack_streams[index]
-            return (
-                stream.pending[0] if stream.pending is not None
-                else None
-            )
-        if lane == 5:
-            return self._next_defense_tick
-        source = self._sources[index]
-        return source.pending[0] if source.pending is not None else None
+    def _fault_time(self, index: int) -> float | None:
+        if self._fault_index < len(self._fault_events):
+            return self._fault_events[self._fault_index].time_s
+        return None
+
+    def _node_time(self, index: int) -> float | None:
+        node = self.nodes[index]
+        return node.queue.peek_time() if node.queue else None
+
+    def _source_time(self, index: int) -> float | None:
+        pending = self._sources[index].pending
+        return pending[0] if pending is not None else None
+
+    def _planner_time(self, index: int) -> float | None:
+        if index == 0:
+            return self._next_plan_tick
+        return self._deferred[0][0] if self._deferred else None
+
+    def _attack_time(self, index: int) -> float | None:
+        pending = self._attack_streams[index].pending
+        return pending[0] if pending is not None else None
+
+    def _defense_time(self, index: int) -> float | None:
+        return self._next_defense_tick
 
     def _refresh_lane(self, lane: int, index: int) -> None:
         """Re-stage a lane's candidate after its state changed.
@@ -860,7 +823,7 @@ class Cluster:
         key = (lane, index)
         version = self._lane_versions.get(key, 0) + 1
         self._lane_versions[key] = version
-        time_s = self._lane_time(lane, index)
+        time_s = self._lanes[lane][0](index)
         if time_s is not None:
             heapq.heappush(
                 self._frontier, (time_s, lane, index, version)
@@ -877,7 +840,7 @@ class Cluster:
             return time_s, lane, index
         return None
 
-    def _process_fault(self) -> None:
+    def _process_fault(self, index: int) -> None:
         event = self._fault_events[self._fault_index]
         self._fault_index += 1
         self._refresh_lane(0, 0)
@@ -893,24 +856,17 @@ class Cluster:
                     BLUEPRINT_SCHEMES[scheme].to_cuid_policy(self.spec)
                 )
             self._alive.add(event.node)
-            self._alive_frozen = frozenset(self._alive)
-            self._fault_log.append({
-                "time_s": round(event.time_s, 9),
-                "node": event.node,
-                "event": "recover",
-            })
-            return
-        lost = node.fail(event.time_s)
-        self._alive.discard(event.node)
+        else:
+            lost = node.fail(event.time_s)
+            self._alive.discard(event.node)
+            if lost:
+                runtime.metrics.counter("cluster.shed").inc(lost)
         self._alive_frozen = frozenset(self._alive)
-        if lost:
-            runtime.metrics.counter("cluster.shed").inc(lost)
-        self._fault_log.append({
-            "time_s": round(event.time_s, 9),
-            "node": event.node,
-            "event": "kill",
-            "lost": lost,
-        })
+
+    def _process_node_event(self, index: int) -> None:
+        node = self.nodes[index]
+        node.dispatch(node.queue.pop())
+        self._refresh_lane(1, index)
 
     def _route_and_accept(
         self,
@@ -956,50 +912,40 @@ class Cluster:
             target.accept(timestamp, cls, arrived_s=arrived_s)
             self._refresh_lane(1, decision.target)
 
+    def _take(self, stream: _Source) -> tuple:
+        """Count ``stream``'s pending arrival as offered (fleet and
+        stream totals, arrival windows) and return it."""
+        timestamp, cls = stream.pending
+        self.generated += 1
+        stream.generated += 1
+        self._windows.add(timestamp, cls.name, cls.tenant)
+        return timestamp, cls
+
     def _process_arrival(self, index: int) -> None:
         source = self._sources[index]
-        assert source.pending is not None
-        timestamp, cls = source.pending
+        timestamp, cls = self._take(source)
         tenant_index = int(
             source.tenant_rng.integers(self.config.tenants_per_group)
         )
         key = tenant_id(cls.tenant, tenant_index)
-        self.generated += 1
-        source.generated += 1
-        window = min(
-            int(timestamp / ARRIVAL_WINDOW_S),
-            len(self._class_windows) - 1,
-        )
-        counts = self._class_windows[window]
-        counts[cls.name] = counts.get(cls.name, 0) + 1
-        counts = self._tenant_windows[window]
-        counts[cls.tenant] = counts.get(cls.tenant, 0) + 1
         until = self._blackout.get(key) if self._blackout else None
-        if until is not None:
-            if timestamp < until:
-                # The tenant is mid-migration: hold the request and
-                # inject it when the blackout ends.  Latency is charged
-                # from ``timestamp`` (the accept backdates arrival), so
-                # the wait lands in the SLO verdicts.
-                self._deferred_seq += 1
-                heapq.heappush(self._deferred, (
-                    until, self._deferred_seq, timestamp,
-                    index, cls, key,
-                ))
-                self.deferred_requests += 1
-                runtime.metrics.counter("planner.deferred").inc()
-                self._refresh_lane(3, 1)
-                source.pull(
-                    timestamp, self.config.duration_s,
-                    self._sample_grid,
-                )
-                self._refresh_lane(2, index)
-                return
-            del self._blackout[key]
-        self._route_and_accept(timestamp, index, cls, key)
-        source.pull(
-            timestamp, self.config.duration_s, self._sample_grid
-        )
+        if until is not None and timestamp < until:
+            # The tenant is mid-migration: hold the request and inject
+            # it when the blackout ends.  Latency is charged from
+            # ``timestamp`` (the accept backdates arrival), so the wait
+            # lands in the SLO verdicts.
+            self._deferred_seq += 1
+            heapq.heappush(self._deferred, (
+                until, self._deferred_seq, timestamp, index, cls, key,
+            ))
+            self.deferred_requests += 1
+            runtime.metrics.counter("planner.deferred").inc()
+            self._refresh_lane(3, 1)
+        else:
+            if until is not None:
+                del self._blackout[key]
+            self._route_and_accept(timestamp, index, cls, key)
+        source.pull(timestamp)
         self._refresh_lane(2, index)
 
     def _process_plan_tick(self) -> None:
@@ -1012,7 +958,7 @@ class Cluster:
             following if following < self.config.duration_s else None
         )
         self._refresh_lane(3, 0)
-        decision, migration = planner.tick(now, self._class_windows)
+        decision, migration = planner.tick(now, self._windows.classes)
         if not decision.changed:
             return
         blueprint = planner.current
@@ -1025,16 +971,20 @@ class Cluster:
             if not node.alive or node.cache_controller.policy == policy:
                 continue
             # Same sequence as a controller reconfiguration: program
-            # the masks, re-associate everything running, reflow.
+            # the masks, then re-associate everything running.
             node.cache_controller.enable(policy)
-            for request_id in sorted(node.admission.running):
-                node._associate(node._requests[request_id])
-            node._reflow(now)
+            node.remask(now)
             self._refresh_lane(1, node_index)
         if migration is not None and migration.downtime_s > 0:
             until = migration.blackout_until_s
             for move in migration.moves:
                 self._blackout[move.tenant] = until
+
+    def _process_planner(self, index: int) -> None:
+        if index == 0:
+            self._process_plan_tick()
+        else:
+            self._process_deferred()
 
     def _process_deferred(self) -> None:
         """Inject the earliest migration-deferred arrival."""
@@ -1058,23 +1008,12 @@ class Cluster:
         windows).
         """
         stream = self._attack_streams[index]
-        assert stream.pending is not None
-        timestamp, cls = stream.pending
-        self.generated += 1
-        stream.generated += 1
+        timestamp, cls = self._take(stream)
         runtime.metrics.counter("defense.attack.arrivals").inc()
-        window = min(
-            int(timestamp / ARRIVAL_WINDOW_S),
-            len(self._class_windows) - 1,
-        )
-        counts = self._class_windows[window]
-        counts[cls.name] = counts.get(cls.name, 0) + 1
-        counts = self._tenant_windows[window]
-        counts[cls.tenant] = counts.get(cls.tenant, 0) + 1
         self._route_and_accept(
             timestamp, index % self.config.nodes, cls, stream.key
         )
-        stream.pull(timestamp, self._sample_grid)
+        stream.pull(timestamp)
         self._refresh_lane(4, index)
 
     def _reassociate_group(
@@ -1082,8 +1021,6 @@ class Cluster:
     ) -> None:
         """Re-derive masks for running members of ``group`` fleet-wide.
 
-        Same sequence as a controller reconfiguration: re-associate
-        everything running on an affected node, then reflow its rates.
         Nodes with no running member of the group are left untouched
         so their event streams don't shift.
         """
@@ -1096,9 +1033,7 @@ class Cluster:
                 for request in node.admission.running.values()
             ):
                 continue
-            for request_id in sorted(node.admission.running):
-                node._associate(node._requests[request_id])
-            node._reflow(now)
+            node.remask(now)
             self._refresh_lane(1, node.index)
 
     def _apply_conviction(self, group: str, now: float) -> None:
@@ -1137,7 +1072,7 @@ class Cluster:
             )
         self._reassociate_group(group, now)
 
-    def _process_defense_tick(self) -> None:
+    def _process_defense_tick(self, index: int) -> None:
         """One detector pass over the fully-elapsed arrival windows."""
         detector = self.detector
         now = self._next_defense_tick
@@ -1153,13 +1088,49 @@ class Cluster:
         else:
             self._next_defense_tick = None
         self._refresh_lane(5, 0)
-        for action in detector.tick(now, self._class_windows):
+        for action in detector.tick(now, self._windows.classes):
             if action["action"] == "convict":
                 self._apply_conviction(action["group"], now)
             else:
                 self._apply_release(action["group"], now)
 
     # -- the loop ------------------------------------------------------
+
+    def _sequential_reason(self, fleet_jobs: int) -> str | None:
+        """Why this run stays on the sequential loop, or None.
+
+        The first blocker wins: defense, then planner, then router.
+        Attack streams and detector ticks interleave with node events
+        and convictions mutate masks and routing mid-run; a planner
+        that fires replans both on a timer.  Those two are recorded
+        for any ``fleet_jobs`` value — pure functions of the config —
+        so their reports stay byte-identical across values.  A
+        stateful router reads live node state per decision, which only
+        matters once a fan-out is requested; its warning names the
+        request.
+        """
+        if self._attacks or self._defense_config.mode != "off":
+            return (
+                "attack streams and the contention detector "
+                "interleave with node events; fleet execution is "
+                "sequential for any fleet_jobs value"
+            )
+        if self._next_plan_tick is not None:
+            return (
+                "policy 'planned' replans routing and CAT state "
+                "on a timer; fleet execution is sequential for "
+                "any fleet_jobs value"
+            )
+        if (
+            min(fleet_jobs, self.config.nodes) > 1
+            and self.config.router not in PLANNABLE_ROUTERS
+        ):
+            return (
+                f"fleet_jobs={fleet_jobs} requested but router "
+                f"{self.config.router!r} reads live node state per "
+                "decision; ran sequentially"
+            )
+        return None
 
     def run(self, fleet_jobs: int = 1) -> ClusterReport:
         """Run to completion (sources stop at the horizon, then drain).
@@ -1169,9 +1140,10 @@ class Cluster:
         ``hash`` router, or a ``planned`` fleet whose planner lane
         never fires (first tick at or beyond the run end — the boot
         placement stays frozen).  The report is byte-identical to the
-        sequential loop for any value.  Stateful routers and active
-        planners fall back to the sequential path and record a warning
-        in the report's ``execution`` block.
+        sequential loop for any value.  Defended fleets, active
+        planners and stateful routers run the sequential loop and
+        record why (:meth:`_sequential_reason`) in the report's
+        ``execution`` block.
         """
         if self._ran:
             raise ClusterError("a Cluster instance runs exactly once")
@@ -1181,63 +1153,16 @@ class Cluster:
             )
         self._ran = True
         config = self.config
-        defended = (
-            bool(self._attacks)
-            or self._defense_config.mode != "off"
-        )
-        if defended:
-            # Attack streams and detector ticks interleave with node
-            # events, and convictions mutate masks and routing
-            # mid-run.  Recorded whenever the config is defended (a
-            # pure function of the config, never of fleet_jobs) so
-            # defended reports stay byte-identical across
-            # --fleet-jobs values.
-            self._warnings.append(
-                "attack streams and the contention detector "
-                "interleave with node events; fleet execution is "
-                "sequential for any fleet_jobs value"
-            )
-            if fleet_jobs > 1 and config.nodes > 1:
+        jobs = min(fleet_jobs, config.nodes)
+        reason = self._sequential_reason(fleet_jobs)
+        if reason is not None:
+            self._warnings.append(reason)
+            if jobs > 1:
                 runtime.metrics.counter(
                     "cluster.parallel.fallbacks"
                 ).inc()
-        elif config.policy == "planned":
-            if self._next_plan_tick is not None:
-                # The planner lane will fire.  Recorded whenever that
-                # holds (a pure function of the config, never of
-                # fleet_jobs) so planned reports stay byte-identical
-                # across --fleet-jobs values.
-                self._warnings.append(
-                    "policy 'planned' replans routing and CAT state "
-                    "on a timer; fleet execution is sequential for "
-                    "any fleet_jobs value"
-                )
-                if fleet_jobs > 1 and config.nodes > 1:
-                    runtime.metrics.counter(
-                        "cluster.parallel.fallbacks"
-                    ).inc()
-            elif fleet_jobs > 1 and config.nodes > 1:
-                # The first plan tick lands at or beyond the run end:
-                # the planner never acts, the boot placement is frozen,
-                # and the planned router is a pure function of
-                # (tenant key, alive set) — exactly what the
-                # epoch-parallel path requires.
-                return self._run_parallel(
-                    min(fleet_jobs, config.nodes)
-                )
-        elif fleet_jobs > 1 and config.nodes > 1:
-            if config.router == "hash":
-                return self._run_parallel(
-                    min(fleet_jobs, config.nodes)
-                )
-            self._warnings.append(
-                f"fleet_jobs={fleet_jobs} requested but router "
-                f"{config.router!r} reads live node state per "
-                "decision; ran sequentially"
-            )
-            runtime.metrics.counter(
-                "cluster.parallel.fallbacks"
-            ).inc()
+        elif jobs > 1:
+            return self._run_parallel(jobs)
         with runtime.tracer.span(
             "cluster.run",
             nodes=config.nodes,
@@ -1248,63 +1173,21 @@ class Cluster:
                 len(self._epochs)
             )
             for source in self._sources:
-                source.pull(0.0, config.duration_s, self._sample_grid)
+                source.pull(0.0)
+            for attack, stream in zip(self._attacks, self._attack_streams):
+                stream.pull(attack.start_s)
             for node in self.nodes:
-                if node.controller is not None:
-                    node.queue.push(
-                        min(node.controller.interval_s,
-                            config.duration_s / 2.0),
-                        EventKind.CONTROL,
-                    )
+                node.schedule_first_control()
             # Seed the merged heap with every lane's first candidate.
-            self._refresh_lane(0, 0)
-            for index in range(config.nodes):
-                self._refresh_lane(1, index)
-                self._refresh_lane(2, index)
-            self._refresh_lane(3, 0)
-            self._refresh_lane(3, 1)
-            for index, stream in enumerate(self._attack_streams):
-                stream.pull(stream.spec.start_s, self._sample_grid)
-                self._refresh_lane(4, index)
-            self._refresh_lane(5, 0)
-            # Bound locals: the loop body runs once per fleet event,
-            # so attribute lookups on self are paid millions of times.
+            for lane, (_, _, indices) in enumerate(self._lanes):
+                for index in indices:
+                    self._refresh_lane(lane, index)
+            # Bound locals: the loop body runs once per fleet event.
             pop_candidate = self._pop_candidate
-            process_fault = self._process_fault
-            process_arrival = self._process_arrival
-            process_plan_tick = self._process_plan_tick
-            process_deferred = self._process_deferred
-            process_attack = self._process_attack_arrival
-            process_defense_tick = self._process_defense_tick
-            refresh_lane = self._refresh_lane
-            nodes = self.nodes
-            while True:
-                candidate = pop_candidate()
-                if candidate is None:
-                    break
+            fires = tuple(fire for _, fire, _ in self._lanes)
+            while (candidate := pop_candidate()) is not None:
                 _, lane, index = candidate
-                if lane == 0:
-                    process_fault()
-                elif lane == 1:
-                    node = nodes[index]
-                    node.dispatch(node.queue.pop())
-                    refresh_lane(1, index)
-                elif lane == 3:
-                    if index == 0:
-                        process_plan_tick()
-                    else:
-                        process_deferred()
-                elif lane == 4:
-                    process_attack(index)
-                elif lane == 5:
-                    process_defense_tick()
-                else:
-                    process_arrival(index)
-            for node in self.nodes:
-                node.close_downtime(
-                    max(config.duration_s,
-                        *(n.clock.now for n in self.nodes))
-                )
+                fires[lane](index)
         return self._assemble_report(
             tuple(node.report() for node in self.nodes)
         )
@@ -1419,38 +1302,13 @@ class Cluster:
         self.forwarded = plan.forwarded
         self.failovers = plan.failovers
         self.shed_no_node = plan.shed_no_node
-        self._class_windows = plan.class_windows
-        self._tenant_windows = plan.tenant_windows
+        self._windows = plan.windows
         self._fault_index = len(self._fault_events)
         self._alive = set(plan.epochs[-1].alive)
         self._alive_frozen = frozenset(self._alive)
-        cursors = [0] * self.config.nodes
-        total_lost = 0
-        for event in self._fault_events:
-            if event.recover:
-                self._fault_log.append({
-                    "time_s": round(event.time_s, 9),
-                    "node": event.node,
-                    "event": "recover",
-                })
-                continue
-            lost = results[event.node]["fault_lost"][
-                cursors[event.node]
-            ]
-            cursors[event.node] += 1
-            total_lost += lost
-            self._fault_log.append({
-                "time_s": round(event.time_s, 9),
-                "node": event.node,
-                "event": "kill",
-                "lost": lost,
-            })
+        total_lost = sum(sum(payload["fault_lost"]) for payload in results)
         if total_lost:
             metrics.counter("cluster.shed").inc(total_lost)
-        horizon = max(
-            self.config.duration_s,
-            *(payload["clock_now"] for payload in results),
-        )
         for index, (node, payload) in enumerate(
             zip(self.nodes, results)
         ):
@@ -1467,15 +1325,8 @@ class Cluster:
             node.slo = payload["slo"]
             node.rate_solves = payload["rate_solves"]
             node.rate_cache_hits = payload["rate_cache_hits"]
-            cache = node.rate_cache
-            if hasattr(cache, "load"):
-                cache.load(payload["rate_cache_entries"])
-                cache.evictions = payload["rate_cache_evictions"]
-            else:
-                cache.update(dict(payload["rate_cache_entries"]))
-            # Same downtime closure the sequential loop applies, with
-            # the same global horizon (max over every node's clock).
-            node.close_downtime(horizon)
+            node.rate_cache.load(payload["rate_cache_entries"])
+            node.rate_cache.evictions = payload["rate_cache_evictions"]
 
     def _execution_block(self) -> dict:
         """The report's ``execution`` entry (path-independent)."""
@@ -1489,6 +1340,13 @@ class Cluster:
     ) -> ClusterReport:
         """The canonical fleet report from per-node reports plus the
         fleet state both execution paths leave on ``self``."""
+        # The drain horizon: open outages and jail terms close here.
+        horizon = max(
+            self.config.duration_s,
+            *(node.clock.now for node in self.nodes),
+        )
+        for node in self.nodes:
+            node.close_downtime(horizon)
         fleet_slo = SloTracker((
             SloTarget("olap", p99_s=self.config.olap_p99_s),
             SloTarget("oltp", p99_s=self.config.oltp_p99_s),
@@ -1518,17 +1376,6 @@ class Cluster:
                 "request conservation violated: generated="
                 f"{self.generated} but completed+shed={balance}"
             )
-        arrival_windows = {
-            "window_s": ARRIVAL_WINDOW_S,
-            "classes": [
-                dict(sorted(window.items()))
-                for window in self._class_windows
-            ],
-            "tenants": [
-                dict(sorted(window.items()))
-                for window in self._tenant_windows
-            ],
-        }
         planner_block: dict = {"enabled": False}
         if self.planner is not None:
             planner_block = {
@@ -1537,10 +1384,10 @@ class Cluster:
                 **self.planner.stats(),
             }
         attack_arrivals: dict[str, int] = {}
-        for stream in self._attack_streams:
-            group = stream.cls.tenant
-            attack_arrivals[group] = (
-                attack_arrivals.get(group, 0) + stream.generated
+        for attack, stream in zip(self._attacks, self._attack_streams):
+            # An attack class's tenant group is its profile name.
+            attack_arrivals[attack.profile] = (
+                attack_arrivals.get(attack.profile, 0) + stream.generated
             )
         ground_truth = sorted(
             {attack.profile for attack in self._attacks}
@@ -1557,12 +1404,6 @@ class Cluster:
             "ground_truth": ground_truth,
         }
         if self.detector is not None:
-            # Open jail terms close at the drain horizon — the same
-            # instant the downtime closure uses.
-            horizon = max(
-                self.config.duration_s,
-                *(node.clock.now for node in self.nodes),
-            )
             jail_seconds = dict(self.jail_seconds)
             for group, opened in self._jail_open.items():
                 jail_seconds[group] = (
@@ -1624,7 +1465,7 @@ class Cluster:
                 )
             ),
             execution=self._execution_block(),
-            arrival_windows=arrival_windows,
+            arrival_windows=self._windows.to_dict(),
             planner=planner_block,
             defense=defense_block,
         )

@@ -48,7 +48,6 @@ class ClusterNode(QueryService):
         config: ServiceConfig,
         spec: SystemSpec | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        rate_cache: dict | None = None,
         solve_memo: dict | None = None,
     ) -> None:
         if index < 0:
@@ -58,7 +57,6 @@ class ClusterNode(QueryService):
             config,
             spec=spec,
             calibration=calibration,
-            rate_cache=rate_cache,
             arrivals=_NoArrivals(),
             solve_memo=solve_memo,
         )

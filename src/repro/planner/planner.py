@@ -117,17 +117,26 @@ class PlannerConfig:
         # Delegate the remaining search-knob validation (and fail at
         # config time, not first tick).
         self.search_config()
-        for window in self.training:
-            for entry in window:
-                if (
-                    len(entry) != 2
-                    or not isinstance(entry[0], str)
-                    or not isinstance(entry[1], int)
-                    or entry[1] < 0
+        # The one check of training counts: integers only (no bool,
+        # no float, no numeric string), never negative.
+        windows = (
+            self.training if isinstance(self.training, tuple)
+            else (self.training,)
+        )
+        for window in windows:
+            for entry in window if isinstance(window, tuple) else (window,):
+                if not (
+                    isinstance(entry, tuple)
+                    and len(entry) == 2
+                    and isinstance(entry[0], str)
+                    and isinstance(entry[1], int)
+                    and not isinstance(entry[1], bool)
+                    and entry[1] >= 0
                 ):
                     raise PlannerError(
                         "training windows must be ((class, count), "
-                        f"...) tuples with counts >= 0: {entry!r}"
+                        "...) tuples with integer counts >= 0: "
+                        f"{entry!r}"
                     )
 
     def search_config(self) -> SearchConfig:

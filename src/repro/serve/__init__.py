@@ -28,14 +28,15 @@ seed produce byte-identical reports (see ``docs/SERVICE.md``).
 
 from .admission import AdmissionController, AdmissionDecision, Request
 from .arrivals import (
+    ARRIVAL_WINDOW_S,
     ArrivalProcess,
+    ArrivalWindows,
     BurstyArrivals,
     DiurnalArrivals,
     PoissonArrivals,
     RequestClass,
     SampleGrid,
     WorkloadMix,
-    arrival_window_counts,
     build_arrivals,
     olap_heavy_mix,
     oltp_heavy_mix,
@@ -50,7 +51,6 @@ from .replay import (
     trace_config,
 )
 from .service import (
-    ARRIVAL_WINDOW_S,
     QueryService,
     RateCache,
     ServiceConfig,
@@ -64,6 +64,7 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "ArrivalProcess",
+    "ArrivalWindows",
     "BurstyArrivals",
     "ControlDecision",
     "DiurnalArrivals",
@@ -87,7 +88,6 @@ __all__ = [
     "SloVerdict",
     "TickingClock",
     "WorkloadMix",
-    "arrival_window_counts",
     "build_arrivals",
     "load_trace",
     "trace_config",

@@ -57,10 +57,11 @@ from ..resctrl.interface import ResctrlInterface
 from .admission import AdmissionController, AdmissionDecision, Request
 from .arrivals import (
     DEFAULT_ARRIVAL_SEED,
+    ArrivalWindows,
     RequestClass,
     SampleGrid,
-    arrival_window_counts,
     build_arrivals,
+    next_sampled_arrival,
     olap_heavy_mix,
     oltp_heavy_mix,
 )
@@ -92,10 +93,6 @@ JAIL_SLOTS = 1
 #: :mod:`repro.planner.forecast`.  Version-1 reports still load
 #: everywhere except replay, which needs the log.
 REPORT_VERSION = 4
-
-#: Width of one arrival-count window in the report's
-#: ``arrival_windows`` block (and the planner's forecast grid).
-ARRIVAL_WINDOW_S = 1.0
 
 #: Default bound on the rate cache (entries, not bytes; one entry is a
 #: small per-class dict).  Long diurnal mix schedules can produce an
@@ -706,21 +703,9 @@ class QueryService:
         return decision
 
     def _schedule_next_arrival(self, now: float) -> None:
-        timestamp, cls = self.arrivals.next_arrival(now)
-        grid = self._sample_grid
-        if grid is not None:
-            # Skipped windows cost O(1): instead of drawing (and
-            # discarding) their arrivals, jump the process straight to
-            # the next simulated window's start.
-            while timestamp < self.config.duration_s and not (
-                grid.simulated(timestamp)
-            ):
-                runtime.metrics.counter(
-                    "serve.sample.window_jumps"
-                ).inc()
-                timestamp, cls = self.arrivals.next_arrival(
-                    grid.next_simulated_start(timestamp)
-                )
+        timestamp, cls = next_sampled_arrival(
+            self.arrivals, now, self.config.duration_s, self._sample_grid
+        )
         if timestamp < self.config.duration_s:
             self.queue.push(timestamp, EventKind.ARRIVAL, cls=cls)
 
@@ -749,14 +734,30 @@ class QueryService:
         ]
         decision = self.controller.tick(now, active)
         if decision.changed:
-            for request_id in sorted(self.admission.running):
-                self._associate(self._requests[request_id])
-            self._reflow(now)
+            self.remask(now)
         next_tick = now + self.controller.interval_s
         if next_tick < self.config.duration_s:
             self.queue.push(next_tick, EventKind.CONTROL)
 
+    def remask(self, now: float) -> None:
+        """Re-associate every running request with its current mask
+        (in request-id order), then reflow — the step every CAT
+        reprogramming (controller, planner, jail) ends with."""
+        for request_id in sorted(self.admission.running):
+            self._associate(self._requests[request_id])
+        self._reflow(now)
+
     # -- the loop ------------------------------------------------------
+
+    def schedule_first_control(self) -> None:
+        """Push the controller's first tick (no-op without one): one
+        interval in, or mid-run when the run is shorter than two."""
+        if self.controller is not None:
+            self.queue.push(
+                min(self.controller.interval_s,
+                    self.config.duration_s / 2.0),
+                EventKind.CONTROL,
+            )
 
     def run(self) -> ServiceReport:
         """Run to completion (arrivals stop at the horizon, then drain)."""
@@ -765,12 +766,7 @@ class QueryService:
             "serve.run", profile=config.profile, policy=config.policy
         ):
             self._schedule_next_arrival(0.0)
-            if self.controller is not None:
-                self.queue.push(
-                    min(self.controller.interval_s,
-                        config.duration_s / 2.0),
-                    EventKind.CONTROL,
-                )
+            self.schedule_first_control()
             while self.queue:
                 self.dispatch(self.queue.pop())
         return self._report()
@@ -822,28 +818,9 @@ class QueryService:
         arrival_log = sorted(
             self._arrival_log, key=lambda entry: entry[0]
         )
-        class_windows = arrival_window_counts(
-            arrival_log, ARRIVAL_WINDOW_S, self.config.duration_s
-        )
-        tenant_windows = arrival_window_counts(
-            (
-                (time_s, self._tenant_by_class[name])
-                for time_s, name in arrival_log
-            ),
-            ARRIVAL_WINDOW_S,
-            self.config.duration_s,
-        )
-        arrival_windows = {
-            "window_s": ARRIVAL_WINDOW_S,
-            "classes": [
-                dict(sorted(window.items()))
-                for window in class_windows
-            ],
-            "tenants": [
-                dict(sorted(window.items()))
-                for window in tenant_windows
-            ],
-        }
+        windows = ArrivalWindows(self.config.duration_s)
+        for time_s, name in arrival_log:
+            windows.add(time_s, name, self._tenant_by_class[name])
         return ServiceReport(
             config=self.config,
             arrived=self._next_request_id,
@@ -870,5 +847,5 @@ class QueryService:
                 self.rate_cache, "evictions", 0
             ),
             arrivals=tuple(arrival_log),
-            arrival_windows=arrival_windows,
+            arrival_windows=windows.to_dict(),
         )

@@ -24,6 +24,7 @@ from repro.cluster import (
     split_epochs,
 )
 from repro.errors import ClusterError
+from repro.obs import observing
 
 FAULTS = (FaultSpec(1, 1.0, 2.0), FaultSpec(2, 1.5, None))
 
@@ -184,3 +185,64 @@ class TestStatefulFallback:
         # Nothing to fan out; no warning either (not a degradation).
         report = Cluster(_config(nodes=1)).run(fleet_jobs=4)
         assert report.execution["warnings"] == []
+
+
+DEFENSE_WARNING = (
+    "attack streams and the contention detector interleave with node "
+    "events; fleet execution is sequential for any fleet_jobs value"
+)
+PLANNER_WARNING = (
+    "policy 'planned' replans routing and CAT state on a timer; fleet "
+    "execution is sequential for any fleet_jobs value"
+)
+#: policy case -> config overrides (runs last 2 s: a 1 s plan interval
+#: fires, a 2 s one never does).
+RULE_POLICIES = {
+    "none": dict(policy="none"),
+    "planned-firing": dict(policy="planned", plan_interval_s=1.0),
+    "planned-idle": dict(policy="planned", plan_interval_s=2.0),
+}
+
+
+class TestSequentialRule:
+    """The whole matrix of the one sequential-execution rule: first
+    blocker wins (defense, then planner, then router)."""
+
+    @pytest.mark.parametrize("nodes", [1, 3])
+    @pytest.mark.parametrize("fleet_jobs", [1, 4])
+    @pytest.mark.parametrize("defended", [False, True])
+    @pytest.mark.parametrize("policy", list(RULE_POLICIES))
+    @pytest.mark.parametrize(
+        "router", ["hash", "least-loaded", "affinity", "planned"]
+    )
+    def test_matrix(self, router, policy, defended, fleet_jobs, nodes):
+        if (router == "planned") != (policy != "none"):
+            pytest.skip("policy 'planned' and router 'planned' go together")
+        config = ClusterConfig(
+            nodes=nodes, router=router, duration_s=2.0, rate_per_s=3.0,
+            seed=5, defense="jail" if defended else "off",
+            **RULE_POLICIES[policy],
+        )
+        with observing() as (_, metrics):
+            report = Cluster(config).run(fleet_jobs=fleet_jobs)
+        fan_out = fleet_jobs > 1 and nodes > 1
+        if defended:
+            warnings = [DEFENSE_WARNING]
+        elif policy == "planned-firing":
+            warnings = [PLANNER_WARNING]
+        elif router in ("least-loaded", "affinity") and fan_out:
+            warnings = [
+                f"fleet_jobs={fleet_jobs} requested but router "
+                f"{router!r} reads live node state per decision; ran "
+                "sequentially"
+            ]
+        else:
+            warnings = []
+        parallel = fan_out and not warnings
+        assert report.execution["warnings"] == warnings
+        assert metrics.counter("cluster.parallel.fallbacks").value == (
+            1 if fan_out and warnings else 0
+        )
+        assert metrics.counter("cluster.parallel.tasks").value == (
+            nodes if parallel else 0
+        )

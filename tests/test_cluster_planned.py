@@ -46,6 +46,20 @@ class TestConfigValidation:
         with pytest.raises(ClusterError):
             _config(plan_training=(("scan", 1.5),))
 
+    @pytest.mark.parametrize("count", [2.7, "3", True, -1])
+    def test_training_counts_are_not_coerced(self, count):
+        # The Python API passes windows through unchanged: a float,
+        # numeric string, bool or negative count is an error, never
+        # truncated or converted.
+        with pytest.raises(ClusterError, match="integer counts"):
+            _config(plan_training=((("scan", count),),))
+
+    def test_json_shaped_training_windows_are_accepted(self):
+        config = _config(plan_training=[[["scan", 3]], [["oltp", 0]]])
+        assert config.planner_config().training == (
+            (("scan", 3),), (("oltp", 0),),
+        )
+
     def test_search_knobs_are_validated(self):
         with pytest.raises(ClusterError):
             _config(plan_search="anneal")

@@ -59,6 +59,21 @@ FLEET_CASES = {
         nodes=2, router="hash", rate_per_s=6.0, defense="jail",
         attacks=(AttackSpec("thrash", start_s=1.0, rate_per_s=20.0),),
     ), 1),
+    "thrash-evict": (dict(
+        nodes=2, router="hash", rate_per_s=6.0, defense="evict",
+        attacks=(AttackSpec("thrash", start_s=1.0, rate_per_s=20.0),),
+    ), 1),
+    # The attack starts inside a skipped window: its stream's first
+    # pull jumps the sample grid.
+    "sampled-attack": (dict(
+        nodes=2, router="hash", duration_s=12.0, rate_per_s=8.0,
+        sample_window_s=1.0, sample_period=3, defense="jail",
+        attacks=(AttackSpec("thrash", start_s=1.0, rate_per_s=20.0),),
+    ), 1),
+    "least-loaded-faults": (dict(
+        router="least-loaded", policy="static",
+        faults=seeded_faults(4, 2, 6.0, 5),
+    ), 1),
 }
 
 GOLDEN = {
@@ -100,6 +115,12 @@ GOLDEN = {
         "2e9450ae0279849f1302ffc7be455dd02504c91a7b3699bc8d40fb441af72cbf",
     "thrash-jail":
         "064111154ca57618bcb15a75085175d5874cc0e790c9c57c5f45c369c138765f",
+    "thrash-evict":
+        "dda65015424b8f853bf386d9fa4a530685f81aa34ac6483516ea058a077a4ea9",
+    "sampled-attack":
+        "7e9710961072e2ad6c0a43e0464bc26af4063f401037dd830c68bf7827071c43",
+    "least-loaded-faults":
+        "4aae8d340631f76050e38c6c3f9d474e176669dc5b04d1930ed9ef883051924d",
 }
 
 
