@@ -31,7 +31,7 @@ the sequential run — parallelism only changes wall-clock time (see
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from typing import Callable
 
@@ -630,12 +630,7 @@ def _run_parallel(names: list[str], args: argparse.Namespace) -> None:
 def _run_serve(args: argparse.Namespace) -> int:
     """Run one service simulation and write its report."""
     from .errors import ServeError
-    from .serve import (
-        QueryService,
-        ServiceConfig,
-        load_trace,
-        trace_config,
-    )
+    from .serve import QueryService, ServiceConfig, load_trace
     from .serve.arrivals import DEFAULT_ARRIVAL_SEED
 
     if (args.profile == "replay") != (args.trace_file is not None):
@@ -649,34 +644,14 @@ def _run_serve(args: argparse.Namespace) -> int:
     try:
         arrivals = None
         if args.profile == "replay":
-            # The trace's envelope (duration, rate, mix, seed) is
-            # authoritative — the run differs only in the policy under
-            # test, so latency deltas are attributable to it alone.
-            try:
-                traced = trace_config(args.trace_file)
-                arrivals = load_trace(args.trace_file)
-            except ServeError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            config = ServiceConfig(
-                profile="replay",
-                policy=args.policy,
-                mix=traced["mix"],
-                duration_s=traced["duration_s"],
-                rate_per_s=traced["rate_per_s"],
-                seed=traced["seed"],
-                max_concurrency=traced["max_concurrency"],
-                queue_depth=traced["queue_depth"],
-                control_interval_s=traced["control_interval_s"],
-                shift_at_s=traced["shift_at_s"],
-                olap_p99_s=traced["olap_p99_s"],
-                oltp_p99_s=traced["oltp_p99_s"],
-                # v2 traces predate interval sampling.
-                sample_window_s=traced.get("sample_window_s"),
-                sample_period=traced.get("sample_period", 1),
-                sample_warmup=traced.get("sample_warmup", 0.5),
+            # The recorded config is authoritative — the run differs
+            # only in the policy under test, so latency deltas are
+            # attributable to it alone.
+            recorded, arrivals = load_trace(args.trace_file)
+            config = dataclasses.replace(
+                recorded, profile="replay", policy=args.policy
             )
-            label = str(traced["seed"])
+            label = str(recorded.seed)
         else:
             config = ServiceConfig(
                 profile=args.profile,
@@ -729,6 +704,9 @@ def _run_serve(args: argparse.Namespace) -> int:
                 f"{controller['change_times_s']}"
             )
         print(f"report: {path}")
+    except ServeError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
         seeding.set_seed(None)
     return 0
@@ -770,6 +748,7 @@ def _run_cluster(args: argparse.Namespace) -> int:
     from .defense import seeded_attacks
     from .errors import ClusterError, DefenseError, PlannerError
     from .planner import training_from_report
+    from .schema import load_report
     from .serve.arrivals import DEFAULT_ARRIVAL_SEED
 
     if args.fleet_jobs < 1:
@@ -787,16 +766,10 @@ def _run_cluster(args: argparse.Namespace) -> int:
     training: tuple = ()
     if args.plan_train is not None:
         try:
-            with open(args.plan_train, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            training = training_from_report(payload)
-        except OSError as error:
-            print(
-                f"error: cannot read --plan-train report: {error}",
-                file=sys.stderr,
+            training = training_from_report(
+                load_report(args.plan_train, PlannerError)
             )
-            return 2
-        except (json.JSONDecodeError, PlannerError) as error:
+        except PlannerError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
     seeding.set_seed(args.seed)

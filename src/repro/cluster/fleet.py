@@ -94,7 +94,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from time import perf_counter_ns
 
@@ -104,7 +104,7 @@ from .. import seeding
 from ..config import SystemSpec
 from ..defense.attacks import attack_classes, validate_attacks
 from ..defense.detector import ContentionDetector, DefenseConfig
-from ..errors import ClusterError, DefenseError, PlannerError
+from ..errors import ClusterError, DefenseError, PlannerError, ServeError
 from ..hardware.cat import contiguous_mask
 from ..model.calibration import DEFAULT_CALIBRATION, Calibration
 from ..model.latency import LatencyModel
@@ -116,6 +116,7 @@ from ..planner import (
     FleetPlanner,
     PlannerConfig,
 )
+from ..schema import FLEET_REPORT_VERSION
 from ..serve.arrivals import (
     ARRIVAL_WINDOW_S,
     DEFAULT_ARRIVAL_SEED,
@@ -153,31 +154,6 @@ CLUSTER_PROFILES = ("poisson", "bursty", "diurnal")
 #: (:mod:`repro.planner`) re-derives placement and CAT blueprints from
 #: arrival forecasts on a timer.
 CLUSTER_POLICIES = POLICIES + ("planned",)
-
-#: Fleet report schema version (independent of the per-node
-#: ``serve.service.REPORT_VERSION`` embedded inside it).  Version 2
-#: adds the interval-sampling knobs to the config block.  Version 3
-#: adds the ``execution`` block — the epoch count and any execution
-#: warnings (e.g. a stateful router degrading ``fleet_jobs`` to the
-#: sequential path).  The block is a pure function of the config, so
-#: reports stay byte-identical across ``fleet_jobs`` values.
-#: Version 4 adds the fleet-level ``arrival_windows`` block (per-window
-#: offered-arrival counts by class and tenant group — forecaster
-#: training data) and the ``planner`` block (the ``planned`` policy's
-#: decision log; ``{"enabled": false}`` otherwise).
-#: Version 5 adds the blueprint-search knobs to the config block, a
-#: ``search`` sub-block and per-decision ``best_score`` to the
-#: ``planner`` block, and scopes the planned policy's sequential-
-#: execution fallback to runs whose planner lane can actually fire
-#: (``plan_interval_s < duration_s``) — an idle planner is a frozen
-#: placement, which the epoch-parallel path replays exactly.
-#: Version 6 adds the defense layer (:mod:`repro.defense`): the
-#: attack-schedule and ``defense_*`` knobs in the config block and the
-#: ``defense`` report block — scheduled attacks, ground-truth attack
-#: labels, detector convictions/releases vs false positives, jail
-#: occupancy, and the serialized detector state.  The block is
-#: ``{"enabled": false, ...}`` on undefended runs.
-FLEET_REPORT_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -309,8 +285,12 @@ class ClusterConfig:
                     f"{self.duration_s}s horizon — it would never "
                     "fire"
                 )
-        # Delegate the shared scalar checks to the node config.
-        self.node_config(0)
+        # Delegate the shared scalar checks to the node config (one
+        # error family for one config object).
+        try:
+            self.node_config(0)
+        except ServeError as error:
+            raise ClusterError(str(error)) from error
 
     def planner_config(self) -> PlannerConfig:
         """The embedded planner configuration (``planned`` policy)."""
@@ -357,25 +337,13 @@ class ClusterConfig:
         ``seeding.derive_from(seed, "node/<i>")`` — which is what makes
         a node's traffic independent of the fleet size.
         """
-        return ServiceConfig(
-            profile=self.profile,
+        return ServiceConfig(**{
+            **{f.name: getattr(self, f.name) for f in fields(ServiceConfig)},
             # Planned nodes boot with the statically programmed scheme;
             # the fleet planner re-programs it from blueprints.
-            policy="static" if self.policy == "planned" else self.policy,
-            mix=self.mix,
-            duration_s=self.duration_s,
-            rate_per_s=self.rate_per_s,
-            seed=seeding.derive_from(self.seed, f"node/{index}"),
-            max_concurrency=self.max_concurrency,
-            queue_depth=self.queue_depth,
-            control_interval_s=self.control_interval_s,
-            shift_at_s=self.shift_at_s,
-            olap_p99_s=self.olap_p99_s,
-            oltp_p99_s=self.oltp_p99_s,
-            sample_window_s=self.sample_window_s,
-            sample_period=self.sample_period,
-            sample_warmup=self.sample_warmup,
-        )
+            "policy": "static" if self.policy == "planned" else self.policy,
+            "seed": seeding.derive_from(self.seed, f"node/{index}"),
+        })
 
     def sample_grid(self) -> SampleGrid | None:
         """The fleet-wide interval-sampling grid (None = unsampled)."""
@@ -383,49 +351,17 @@ class ClusterConfig:
 
     def to_dict(self) -> dict:
         return {
-            "nodes": self.nodes,
-            "router": self.router,
-            "profile": self.profile,
-            "policy": self.policy,
-            "mix": self.mix,
-            "duration_s": self.duration_s,
-            "rate_per_s": self.rate_per_s,
-            "seed": self.seed,
-            "max_concurrency": self.max_concurrency,
-            "queue_depth": self.queue_depth,
-            "control_interval_s": self.control_interval_s,
-            "olap_p99_s": self.olap_p99_s,
-            "oltp_p99_s": self.oltp_p99_s,
-            "tenants_per_group": self.tenants_per_group,
-            "virtual_nodes": self.virtual_nodes,
-            "faults": [fault.to_dict() for fault in self.faults],
-            "sample_window_s": self.sample_window_s,
-            "sample_period": self.sample_period,
-            "sample_warmup": self.sample_warmup,
-            "shift_at_s": self.shift_at_s,
-            "plan_interval_s": self.plan_interval_s,
-            "plan_horizon_s": self.plan_horizon_s,
-            "plan_downtime_s": self.plan_downtime_s,
-            "plan_forecaster": self.plan_forecaster,
-            "plan_period_s": self.plan_period_s,
-            "plan_margin": self.plan_margin,
-            "plan_search": self.plan_search,
-            "plan_beam_width": self.plan_beam_width,
-            "plan_search_steps": self.plan_search_steps,
-            "plan_search_candidates": self.plan_search_candidates,
-            "plan_training": [
-                [[name, count] for name, count in window]
-                for window in self.plan_training
-            ],
-            "attacks": [attack.to_dict() for attack in self.attacks],
-            "defense": self.defense,
-            "defense_interval_s": self.defense_interval_s,
-            "defense_convict_windows": self.defense_convict_windows,
-            "defense_release_windows": self.defense_release_windows,
-            "defense_bandwidth_share": self.defense_bandwidth_share,
-            "defense_occupancy_share": self.defense_occupancy_share,
-            "defense_duty_threshold": self.defense_duty_threshold,
+            f.name: _jsonable(getattr(self, f.name)) for f in fields(self)
         }
+
+
+def _jsonable(value):
+    """``value`` with nested specs as dicts and tuples as lists."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    return value
 
 
 def _as_tuples(value):

@@ -27,7 +27,6 @@ from .detector import (
     ContentionDetector,
     DefenseConfig,
     detector_from_dict,
-    load_defense,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "ContentionDetector",
     "DefenseConfig",
     "detector_from_dict",
-    "load_defense",
 ]

@@ -35,10 +35,8 @@ from ..errors import DefenseError
 from ..model.calibration import DEFAULT_CALIBRATION, Calibration
 from ..model.streams import AccessProfile, RandomRegion, SequentialStream
 from ..operators.base import CacheUsage
+from ..schema import ATTACK_SCHEMA_VERSION, check_version
 from ..serve.arrivals import RequestClass
-
-#: Schema version for serialized AttackSpec dictionaries.
-ATTACK_SCHEMA_VERSION = 1
 
 #: The recognised hostile profiles, in canonical order.
 ATTACK_PROFILES = ("thrash", "saturate", "probe")
@@ -101,28 +99,16 @@ class AttackSpec:
 
 
 def attack_from_dict(payload: dict) -> AttackSpec:
-    """Round-trip loader with explicit schema-version checks."""
-    if "schema_version" not in payload:
-        raise DefenseError(
-            "attack spec carries no 'schema_version' key — refusing "
-            "to guess its layout"
-        )
-    version = payload["schema_version"]
-    if not isinstance(version, int) or version < 1:
-        raise DefenseError(
-            f"invalid attack spec schema_version: {version!r}"
-        )
-    if version > ATTACK_SCHEMA_VERSION:
-        raise DefenseError(
-            f"attack spec schema_version {version} is newer than this "
-            f"build understands (<= {ATTACK_SCHEMA_VERSION})"
-        )
+    """The inverse of :meth:`AttackSpec.to_dict` (current schema only)."""
+    check_version(
+        payload, "schema_version", ATTACK_SCHEMA_VERSION, DefenseError
+    )
     try:
         return AttackSpec(
             profile=payload["profile"],
             start_s=float(payload["start_s"]),
             stop_s=(
-                None if payload.get("stop_s") is None
+                None if payload["stop_s"] is None
                 else float(payload["stop_s"])
             ),
             rate_per_s=float(payload["rate_per_s"]),

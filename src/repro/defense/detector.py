@@ -45,20 +45,12 @@ from ..errors import DefenseError
 from ..model.calibration import DEFAULT_CALIBRATION, Calibration
 from ..model.simulator import QuerySpec
 from ..obs import runtime
+from ..schema import DETECTOR_SCHEMA_VERSION, check_version
 from ..serve.arrivals import RequestClass
 from ..serve.controller import classify_cached
 
-#: Schema version for serialized detector state.
-DETECTOR_SCHEMA_VERSION = 1
-
 #: Recognised defense modes: monitoring only happens under jail/evict.
 DEFENSE_MODES = ("off", "jail", "evict")
-
-#: Oldest fleet report version whose defense block we can synthesise.
-_MIN_FLEET_REPORT = 4
-
-#: Newest fleet report version this build understands.
-_MAX_FLEET_REPORT = 6
 
 
 @dataclass(frozen=True)
@@ -379,21 +371,9 @@ def detector_from_dict(
     the serialized values equal what a fresh probe would compute);
     ``to_dict`` of the result is byte-identical to the input.
     """
-    if "schema_version" not in payload:
-        raise DefenseError(
-            "detector state carries no 'schema_version' key — "
-            "refusing to guess its layout"
-        )
-    version = payload["schema_version"]
-    if not isinstance(version, int) or version < 1:
-        raise DefenseError(
-            f"invalid detector schema_version: {version!r}"
-        )
-    if version > DETECTOR_SCHEMA_VERSION:
-        raise DefenseError(
-            f"detector schema_version {version} is newer than this "
-            f"build understands (<= {DETECTOR_SCHEMA_VERSION})"
-        )
+    check_version(
+        payload, "schema_version", DETECTOR_SCHEMA_VERSION, DefenseError
+    )
     try:
         detector = ContentionDetector(
             spec=spec if spec is not None else SystemSpec(),
@@ -421,45 +401,3 @@ def detector_from_dict(
             f"detector state is missing required key: {exc}"
         ) from None
     return detector
-
-
-def load_defense(report: dict) -> dict:
-    """Extract the ``defense`` block from a fleet report payload.
-
-    Mirrors ``serve/replay.py``'s versioning contract: unversioned
-    payloads are rejected outright, newer-than-build versions are
-    rejected with the build's ceiling, and older versions that predate
-    the block (fleet reports v4/v5) load as an explicit disabled
-    block so downstream consumers need no version switch.
-    """
-    if "fleet_report_version" not in report:
-        raise DefenseError(
-            "fleet report carries no 'fleet_report_version' key — "
-            "refusing to guess its layout; re-record it with this "
-            "build"
-        )
-    version = report["fleet_report_version"]
-    if not isinstance(version, int) or version < 1:
-        raise DefenseError(
-            f"invalid fleet_report_version: {version!r}"
-        )
-    if version > _MAX_FLEET_REPORT:
-        raise DefenseError(
-            f"fleet report v{version} is newer than this build "
-            f"understands (<= {_MAX_FLEET_REPORT})"
-        )
-    if version < _MIN_FLEET_REPORT:
-        raise DefenseError(
-            f"fleet report v{version} predates the training-data "
-            f"blocks (>= {_MIN_FLEET_REPORT}); re-record it with "
-            "this build"
-        )
-    if version < _MAX_FLEET_REPORT or "defense" not in report:
-        return {
-            "enabled": False,
-            "mode": "off",
-            "attacks": [],
-            "attack_arrivals": {},
-            "ground_truth": [],
-        }
-    return report["defense"]

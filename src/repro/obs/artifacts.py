@@ -18,23 +18,19 @@ artifacts directly.  The schema is documented in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from ..errors import ObservabilityError
+from ..schema import ARTIFACT_SCHEMA_VERSION, check_version, read_json
 
-#: Version 2 adds the parallel-execution fields: ``jobs`` (the
-#: ``--jobs`` value the run was launched with) and ``worker`` (per-
-#: worker timing — ``{"pid": ..., "wall_seconds": ...}`` — when the
-#: experiment ran on a pool worker).  Version 3 adds ``seed``: the
-#: run-level ``--seed`` every stochastic component derived its stream
-#: from (``null`` when the run used the historical per-component
-#: defaults).  Older files remain loadable; missing fields take the
-#: pre-existing behaviour's values.
-SCHEMA_VERSION = 3
-
-_LOADABLE_VERSIONS = (1, 2, 3)
+#: The artifact schema: ``jobs`` (the ``--jobs`` value the run was
+#: launched with), ``worker`` (per-worker timing — ``{"pid": ...,
+#: "wall_seconds": ...}`` — when the experiment ran on a pool worker)
+#: and ``seed`` (the run-level ``--seed``, ``null`` when unset) sit
+#: beside the figures, spans and metrics.
+SCHEMA_VERSION = ARTIFACT_SCHEMA_VERSION
 
 DEFAULT_RUNS_DIR = "runs"
 
@@ -78,23 +74,15 @@ class RunArtifact:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunArtifact":
-        version = payload.get("schema_version")
-        if version not in _LOADABLE_VERSIONS:
-            raise ObservabilityError(
-                f"unsupported artifact schema version: {version!r}"
-            )
-        return cls(
-            experiment=payload["experiment"],
-            figures=list(payload.get("figures", [])),
-            metrics=dict(payload.get("metrics", {})),
-            spans=payload.get("spans"),
-            fast=bool(payload.get("fast", False)),
-            jobs=int(payload.get("jobs", 1)),
-            worker=payload.get("worker"),
-            seed=payload.get("seed"),
-            created_at=payload["created_at"],
-            schema_version=version,
+        check_version(
+            payload, "schema_version", SCHEMA_VERSION, ObservabilityError
         )
+        try:
+            return cls(**{f.name: payload[f.name] for f in fields(cls)})
+        except KeyError as exc:
+            raise ObservabilityError(
+                f"artifact is missing required key: {exc}"
+            ) from None
 
 
 def artifact_filename(artifact: RunArtifact) -> str:
@@ -130,10 +118,4 @@ def write_artifact(
 
 def load_artifact(path: str | Path) -> RunArtifact:
     """Read an artifact previously written by :func:`write_artifact`."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as error:
-        raise ObservabilityError(
-            f"cannot load artifact {path}: {error}"
-        ) from None
-    return RunArtifact.from_dict(payload)
+    return RunArtifact.from_dict(read_json(path, ObservabilityError))

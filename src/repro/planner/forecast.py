@@ -336,8 +336,9 @@ def fit_forecaster(forecaster: Forecaster, windows) -> Forecaster:
 def training_from_report(payload: dict) -> tuple:
     """Canonical training windows from a recorded report.
 
-    Accepts a service *or* fleet report dict (schema v4+, the
-    ``arrival_windows`` block) and returns the hashable form
+    Accepts a service *or* fleet report dict (its
+    ``arrival_windows`` block; version-check a file through
+    :func:`repro.schema.load_report` first) and returns the hashable form
     :class:`~repro.cluster.fleet.ClusterConfig` carries in
     ``plan_training``: one ``((class, count), ...)`` tuple per window,
     entries sorted by class name.
@@ -348,14 +349,7 @@ def training_from_report(payload: dict) -> tuple:
         )
     block = payload.get("arrival_windows")
     if not isinstance(block, dict):
-        version = payload.get(
-            "report_version", payload.get("fleet_report_version")
-        )
-        raise PlannerError(
-            "report has no arrival_windows block (schema version "
-            f"{version!r} predates it); re-record the run with this "
-            "build to train a forecaster from it"
-        )
+        raise PlannerError("report has no arrival_windows block")
     windows = block.get("classes")
     if not isinstance(windows, list):
         raise PlannerError(

@@ -44,13 +44,9 @@ from .arrivals import (
 from .clock import SimulatedClock, TickingClock
 from .controller import AdaptiveController, ControlDecision
 from .events import Event, EventKind, EventQueue
-from .replay import (
-    REPLAY_MIN_VERSION,
-    ReplayArrivals,
-    load_trace,
-    trace_config,
-)
+from .replay import ReplayArrivals, load_trace
 from .service import (
+    REPORT_VERSION,
     QueryService,
     RateCache,
     ServiceConfig,
@@ -74,7 +70,7 @@ __all__ = [
     "LatencyHistogram",
     "PoissonArrivals",
     "QueryService",
-    "REPLAY_MIN_VERSION",
+    "REPORT_VERSION",
     "RateCache",
     "ReplayArrivals",
     "Request",
@@ -90,7 +86,6 @@ __all__ = [
     "WorkloadMix",
     "build_arrivals",
     "load_trace",
-    "trace_config",
     "olap_heavy_mix",
     "oltp_heavy_mix",
 ]

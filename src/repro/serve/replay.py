@@ -1,11 +1,12 @@
 """Trace replay: re-drive a recorded run's exact arrival sequence.
 
-Every service report (schema version 2+) carries an ``arrivals`` log —
-the offered ``[time_s, class]`` sequence, shed requests included.
-:func:`load_trace` reads a report back into a :class:`ReplayArrivals`
-process, which the service consumes through the same
-``next_arrival(now)`` contract as the stochastic profiles.  That makes
-controller or router changes A/B-testable against *identical* traffic:
+Every service report carries an ``arrivals`` log — the offered
+``[time_s, class]`` sequence, shed requests included — and the run's
+``config`` block.  :func:`load_trace` reads a report back into the
+recorded :class:`ServiceConfig` and a :class:`ReplayArrivals` process,
+which the service consumes through the same ``next_arrival(now)``
+contract as the stochastic profiles.  That makes controller or router
+changes A/B-testable against *identical* traffic:
 
     python -m repro serve --profile poisson --seed 7      # record
     python -m repro serve --profile replay \\
@@ -19,32 +20,14 @@ the re-recorded arrival log equals the one replayed.
 
 from __future__ import annotations
 
-import json
+import math
 from pathlib import Path
 
 from ..errors import ServeError
 from ..model.calibration import DEFAULT_CALIBRATION, Calibration
+from ..schema import load_report
 from .arrivals import RequestClass, catalog_classes
-from .service import REPORT_VERSION
-
-#: Oldest report schema replay can drive: version 2 introduced the
-#: ``arrivals`` log.
-REPLAY_MIN_VERSION = 2
-
-#: Config keys a recorded envelope must carry for the CLI to rebuild
-#: the original run around a replay.
-_REPLAY_CONFIG_KEYS = (
-    "mix",
-    "duration_s",
-    "rate_per_s",
-    "seed",
-    "max_concurrency",
-    "queue_depth",
-    "control_interval_s",
-    "shift_at_s",
-    "olap_p99_s",
-    "oltp_p99_s",
-)
+from .service import ServiceConfig
 
 
 class ReplayArrivals:
@@ -89,79 +72,37 @@ def _sentinel_class() -> RequestClass:
     return next(iter(catalog_classes().values()))
 
 
-def _read_report(target: Path) -> dict:
-    """Read and schema-check a service report for replay use."""
-    try:
-        payload = json.loads(target.read_text(encoding="utf-8"))
-    except OSError as error:
-        raise ServeError(f"cannot read trace file: {error}") from error
-    except json.JSONDecodeError as error:
-        raise ServeError(
-            f"trace file {target} is not valid JSON: {error}"
-        ) from error
-    version = payload.get("report_version")
-    if version is None:
-        raise ServeError(
-            f"trace file {target} is not a service report: it has no "
-            "report_version key (either it is some other JSON, or it "
-            "predates schema versioning entirely)"
-        )
-    if not isinstance(version, int) or version < 1:
-        raise ServeError(
-            f"trace file {target} is not a service report "
-            f"(report_version={version!r})"
-        )
-    if version > REPORT_VERSION:
-        raise ServeError(
-            f"trace file {target} has report_version {version}, newer "
-            f"than this build understands ({REPORT_VERSION})"
-        )
-    if version < REPLAY_MIN_VERSION or "arrivals" not in payload:
-        raise ServeError(
-            f"trace file {target} (report_version {version}) has no "
-            "arrivals log (replay needs schema version "
-            f"{REPLAY_MIN_VERSION}+) — re-record it with this version "
-            "to replay"
-        )
-    return payload
-
-
-def trace_config(path: str | Path) -> dict:
-    """The recorded run's configuration block (for rebuilding the
-    service around a replay with the original envelope)."""
-    payload = _read_report(Path(path))
-    config = payload.get("config")
-    if not isinstance(config, dict):
-        raise ServeError(
-            f"trace file {path} has no config block to replay against"
-        )
-    missing = [
-        key for key in _REPLAY_CONFIG_KEYS if key not in config
-    ]
-    if missing:
-        raise ServeError(
-            f"trace file {path} config block is missing "
-            f"{sorted(missing)} — not a replayable service report"
-        )
-    return config
-
-
 def load_trace(
     path: str | Path,
     workers: int = 22,
     calibration: Calibration = DEFAULT_CALIBRATION,
-) -> ReplayArrivals:
-    """Build a replay process from a recorded service report.
+) -> tuple[ServiceConfig, ReplayArrivals]:
+    """The recorded config and a replay process, from a service report.
 
-    Accepts any report schema up to the current version; version-1
-    reports predate the arrival log and are rejected with a pointer to
-    re-record.  Class names are resolved against the service catalog.
+    The file is read once and must be a service report at the current
+    version.  Class names are resolved against the service catalog.
     """
-    target = Path(path)
-    payload = _read_report(target)
+    payload = load_report(path, ServeError)
+    if "report_version" not in payload:
+        raise ServeError(
+            f"trace file {path} is a fleet report; replay takes a "
+            "service report"
+        )
+    entries = payload.get("arrivals")
+    if not isinstance(entries, list):
+        raise ServeError(f"trace file {path} has no arrivals log")
+    config = ServiceConfig.from_dict(payload.get("config"))
     classes = catalog_classes(workers, calibration)
     arrivals = []
-    for entry in payload["arrivals"]:
+    for entry in entries:
+        if not (
+            isinstance(entry, list) and len(entry) == 2
+            and type(entry[0]) in (int, float) and math.isfinite(entry[0])
+            and isinstance(entry[1], str)
+        ):
+            raise ServeError(
+                f"trace arrival must be [time_s, class]: {entry!r}"
+            )
         time_s, name = entry
         cls = classes.get(name)
         if cls is None:
@@ -170,4 +111,4 @@ def load_trace(
                 f"({sorted(classes)})"
             )
         arrivals.append((float(time_s), cls))
-    return ReplayArrivals(tuple(arrivals))
+    return config, ReplayArrivals(tuple(arrivals))

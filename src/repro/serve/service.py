@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..config import SystemSpec
@@ -54,6 +54,7 @@ from ..operators.base import CacheUsage
 from ..hardware.cat import CatController
 from ..resctrl.filesystem import ResctrlFilesystem
 from ..resctrl.interface import ResctrlInterface
+from ..schema import REPORT_VERSION
 from .admission import AdmissionController, AdmissionDecision, Request
 from .arrivals import (
     DEFAULT_ARRIVAL_SEED,
@@ -80,19 +81,6 @@ MIXES = ("olap", "oltp", "shift")
 #: delay the victims the jail exists to protect.  Excess arrivals are
 #: shed at admission and counted in the normal shed accounting.
 JAIL_SLOTS = 1
-
-#: Report schema version (bump when the JSON layout changes).
-#: Version 2 adds the ``arrivals`` log — the offered
-#: ``[time_s, class]`` sequence — which is what trace replay
-#: (``--profile replay``) re-drives.  Version 3 adds the sampling
-#: knobs (``sample_window_s`` / ``sample_period`` /
-#: ``sample_warmup``) to the config block and the
-#: ``rate_cache_evictions`` counter.  Version 4 adds the
-#: ``arrival_windows`` block — per-window offered-arrival counts
-#: keyed by class and by tenant — the training data for
-#: :mod:`repro.planner.forecast`.  Version-1 reports still load
-#: everywhere except replay, which needs the log.
-REPORT_VERSION = 4
 
 #: Default bound on the rate cache (entries, not bytes; one entry is a
 #: small per-class dict).  Long diurnal mix schedules can produce an
@@ -188,6 +176,10 @@ class ServiceConfig:
     sample_warmup: float = 0.5
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ServeError(f"{f.name} must be finite: {value}")
         if self.profile not in PROFILES:
             raise ServeError(
                 f"profile must be one of {PROFILES}: {self.profile!r}"
@@ -208,6 +200,10 @@ class ServiceConfig:
             raise ServeError(f"rate must be > 0: {self.rate_per_s}")
         if self.seed < 0:
             raise ServeError(f"seed must be >= 0: {self.seed}")
+        if self.max_concurrency < 1:
+            raise ServeError(
+                f"max_concurrency must be >= 1: {self.max_concurrency}"
+            )
         if self.control_interval_s <= 0:
             raise ServeError(
                 "control interval must be > 0: "
@@ -234,23 +230,49 @@ class ServiceConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "policy": self.policy,
-            "mix": self.mix,
-            "duration_s": self.duration_s,
-            "rate_per_s": self.rate_per_s,
-            "seed": self.seed,
-            "max_concurrency": self.max_concurrency,
-            "queue_depth": self.queue_depth,
-            "control_interval_s": self.control_interval_s,
-            "shift_at_s": self.shift_at_s,
-            "olap_p99_s": self.olap_p99_s,
-            "oltp_p99_s": self.oltp_p99_s,
-            "sample_window_s": self.sample_window_s,
-            "sample_period": self.sample_period,
-            "sample_warmup": self.sample_warmup,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ServiceConfig":
+        """The inverse of :meth:`to_dict`: ``from_dict(to_dict(c)) == c``.
+
+        Every field must be present, with its declared type (an int
+        counts as a float, a bool as nothing); values pass through
+        unchanged to the usual construction checks.
+        """
+        if not isinstance(payload, dict):
+            raise ServeError(
+                "config block must be a JSON object: "
+                f"{type(payload).__name__}"
+            )
+        names = {f.name for f in fields(cls)}
+        missing = sorted(names - payload.keys())
+        unknown = sorted(payload.keys() - names)
+        if missing or unknown:
+            raise ServeError(
+                f"config block has missing keys {missing} and unknown "
+                f"keys {unknown}"
+            )
+        for f in fields(cls):
+            value = payload[f.name]
+            allowed = tuple(
+                kind for name in f.type.split(" | ")
+                for kind in _FIELD_TYPES[name]
+            )
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ServeError(
+                    f"config {f.name} must be {f.type}: {value!r}"
+                )
+        return cls(**payload)
+
+
+#: Field annotation -> accepted JSON value types (``from_dict``).
+_FIELD_TYPES = {
+    "str": (str,),
+    "int": (int,),
+    "float": (int, float),
+    "None": (type(None),),
+}
 
 
 @dataclass

@@ -278,3 +278,63 @@ class TestClusterCommand:
               "--out", str(tmp_path)])
         capsys.readouterr()
         assert seeding.get_seed() is None
+
+
+#: Bad-report inputs, each a function of a recorded service report.
+BAD_REPORTS = {
+    "not-json": lambda p: "not json at all",
+    "truncated": lambda p: json.dumps(p)[:200],
+    "top-level-list": lambda p: json.dumps([p]),
+    "bool-version": lambda p: json.dumps({**p, "report_version": True}),
+    "newer-version": lambda p: json.dumps(
+        {**p, "report_version": p["report_version"] + 1}
+    ),
+    "older-version": lambda p: json.dumps(
+        {**p, "report_version": p["report_version"] - 1}
+    ),
+}
+#: Config and arrival-log defects (only replay reads those blocks).
+BAD_TRACES = {
+    "missing-config-key": lambda p: json.dumps({**p, "config": {
+        key: value for key, value in p["config"].items() if key != "seed"
+    }}),
+    "unknown-config-key": lambda p: json.dumps(
+        {**p, "config": {**p["config"], "bogus": 1}}
+    ),
+    "wrong-type-config": lambda p: json.dumps(
+        {**p, "config": {**p["config"], "duration_s": "x"}}
+    ),
+    "malformed-arrival": lambda p: json.dumps({**p, "arrivals": [[0.1]]}),
+}
+REPORT_READERS = {
+    "trace-file": ["serve", "--profile", "replay", "--trace-file"],
+    "plan-train": ["cluster", "--policy", "planned", "--duration", "1",
+                   "--plan-train"],
+}
+
+
+@pytest.fixture(scope="module")
+def recorded_report():
+    from repro.serve import QueryService, ServiceConfig
+
+    return QueryService(ServiceConfig(
+        profile="poisson", policy="none", duration_s=2.0, rate_per_s=4.0,
+        seed=7,
+    )).run().to_dict()
+
+
+@pytest.mark.parametrize("reader, case", [
+    (reader, case)
+    for reader in REPORT_READERS
+    for case in {**BAD_REPORTS, **BAD_TRACES}
+    if reader == "trace-file" or case in BAD_REPORTS
+])
+def test_bad_report_exits_2(tmp_path, capsys, recorded_report, reader, case):
+    path = tmp_path / "report.json"
+    text = {**BAD_REPORTS, **BAD_TRACES}[case](recorded_report)
+    path.write_text(text, encoding="utf-8")
+    argv = REPORT_READERS[reader] + [str(path), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

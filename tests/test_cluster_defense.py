@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.defense import AttackSpec, load_defense, seeded_attacks
-from repro.errors import ClusterError
+from repro.defense import AttackSpec, seeded_attacks
+from repro.errors import ClusterError, DefenseError
 from repro.planner import training_from_report
+from repro.schema import load_report
 
 THRASH = (AttackSpec(profile="thrash", start_s=1.0, rate_per_s=20.0),)
 
@@ -131,6 +132,6 @@ class TestReportLoading:
         assert training
 
     def test_v6_defense_block_round_trips(self, jail_report):
-        block = load_defense(jail_report.to_dict())
+        block = load_report(jail_report.to_dict(), DefenseError)["defense"]
         assert block["enabled"] is True
         assert block["convicted_groups"] == ["thrash"]

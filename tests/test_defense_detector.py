@@ -11,10 +11,10 @@ from repro.defense import (
     DefenseConfig,
     attack_classes,
     detector_from_dict,
-    load_defense,
 )
 from repro.defense.detector import config_from_dict
 from repro.errors import DefenseError
+from repro.schema import load_report
 
 
 def _classes():
@@ -169,31 +169,25 @@ class TestSerialization:
 
 
 class TestLoadDefense:
+    """A fleet report's defense block, read through load_report."""
+
     def test_rejects_unversioned_report(self):
         with pytest.raises(DefenseError, match="fleet_report_version"):
-            load_defense({})
+            load_report({}, DefenseError)
 
     def test_rejects_invalid_version(self):
         with pytest.raises(DefenseError, match="invalid"):
-            load_defense({"fleet_report_version": "six"})
+            load_report({"fleet_report_version": "six"}, DefenseError)
 
     def test_rejects_newer_report(self):
         with pytest.raises(DefenseError, match="newer"):
-            load_defense({"fleet_report_version": 7})
+            load_report({"fleet_report_version": 7}, DefenseError)
 
     def test_rejects_pre_training_reports(self):
         with pytest.raises(DefenseError, match="predates"):
-            load_defense({"fleet_report_version": 3})
-
-    @pytest.mark.parametrize("version", [4, 5])
-    def test_older_reports_load_disabled_block(self, version):
-        block = load_defense({"fleet_report_version": version})
-        assert block["enabled"] is False
-        assert block["mode"] == "off"
-        assert block["attacks"] == []
-        assert block["ground_truth"] == []
+            load_report({"fleet_report_version": 3}, DefenseError)
 
     def test_v6_block_passes_through(self):
         defense = {"enabled": True, "mode": "jail", "attacks": []}
         report = {"fleet_report_version": 6, "defense": defense}
-        assert load_defense(report) is defense
+        assert load_report(report, DefenseError)["defense"] is defense

@@ -97,37 +97,6 @@ class TestSchemaVersions:
         assert loaded.worker == {"pid": 123, "wall_seconds": 0.5}
         assert loaded.seed == 11
 
-    def test_version_1_files_stay_loadable(self, tmp_path):
-        # Files written before the parallel executor lack the jobs /
-        # worker fields; they default to a sequential run.
-        artifact = RunArtifact(experiment="figX")
-        path = write_artifact(artifact, tmp_path)
-        payload = json.loads(path.read_text())
-        payload["schema_version"] = 1
-        del payload["jobs"]
-        del payload["worker"]
-        del payload["seed"]
-        path.write_text(json.dumps(payload))
-        loaded = load_artifact(path)
-        assert loaded.schema_version == 1
-        assert loaded.jobs == 1
-        assert loaded.worker is None
-        assert loaded.seed is None
-
-    def test_version_2_files_stay_loadable(self, tmp_path):
-        # Files written before the seed plumbing lack the seed field;
-        # it defaults to an unseeded run.
-        artifact = RunArtifact(experiment="figX", jobs=2)
-        path = write_artifact(artifact, tmp_path)
-        payload = json.loads(path.read_text())
-        payload["schema_version"] = 2
-        del payload["seed"]
-        path.write_text(json.dumps(payload))
-        loaded = load_artifact(path)
-        assert loaded.schema_version == 2
-        assert loaded.jobs == 2
-        assert loaded.seed is None
-
 
 class TestValidation:
     def test_missing_experiment_rejected(self):

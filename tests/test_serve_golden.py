@@ -12,6 +12,8 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, seeded_faults
 from repro.defense import AttackSpec
+from repro.errors import ServeError
+from repro.schema import load_report
 from repro.serve import QueryService, ServiceConfig, load_trace
 
 SERVICE_BASE = dict(
@@ -166,10 +168,20 @@ def test_replay_golden(tmp_path):
     replayed = QueryService(
         ServiceConfig(**{**SERVICE_BASE, "profile": "replay",
                          "policy": "static"}),
-        arrivals=load_trace(path),
+        arrivals=load_trace(path)[1],
     ).run()
     assert replayed.to_dict()["arrivals"] == recorded.to_dict()["arrivals"]
     assert _digest(replayed) == GOLDEN["replay"]
+
+
+@pytest.mark.parametrize("case", SERVICE_CASES)
+def test_report_reruns_itself(case, tmp_path):
+    # Determinism from the report alone: rebuild the config from the
+    # written report's config block, run it again, compare the bytes.
+    report = _service_run(case)[1]
+    payload = load_report(report.write(tmp_path / "run.json"), ServeError)
+    rerun = QueryService(ServiceConfig.from_dict(payload["config"])).run()
+    assert rerun.to_json() == report.to_json()
 
 
 @pytest.mark.parametrize("case", FLEET_CASES)

@@ -1,16 +1,18 @@
 """Tests for trace replay (repro.serve.replay)."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.cluster import FLEET_REPORT_VERSION
 from repro.errors import ServeError
 from repro.serve import (
+    REPORT_VERSION,
     QueryService,
     ReplayArrivals,
     ServiceConfig,
     load_trace,
-    trace_config,
 )
 from repro.serve.arrivals import catalog_classes
 
@@ -24,11 +26,10 @@ def _record(tmp_path, policy="none", seed=7):
     return report, report.write(tmp_path / "trace.json")
 
 
-def _replay_config(traced: dict, policy: str) -> ServiceConfig:
-    return ServiceConfig(
-        profile="replay", policy=policy, mix=traced["mix"],
-        duration_s=traced["duration_s"],
-        rate_per_s=traced["rate_per_s"], seed=traced["seed"],
+def _replay_config(path, policy: str) -> ServiceConfig:
+    traced = json.loads(path.read_text())["config"]
+    return dataclasses.replace(
+        ServiceConfig.from_dict(traced), profile="replay", policy=policy
     )
 
 
@@ -67,13 +68,13 @@ class TestReplayArrivals:
 class TestLoadTrace:
     def test_roundtrip(self, tmp_path):
         report, path = _record(tmp_path)
-        replay = load_trace(path)
+        _, replay = load_trace(path)
         assert len(replay) == report.arrived
 
-    def test_trace_config_returns_recorded_envelope(self, tmp_path):
+    def test_load_trace_returns_recorded_config(self, tmp_path):
         report, path = _record(tmp_path)
-        traced = trace_config(path)
-        assert traced == report.config.to_dict()
+        config, _ = load_trace(path)
+        assert config == report.config
 
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(ServeError, match="cannot read"):
@@ -104,6 +105,34 @@ class TestLoadTrace:
         with pytest.raises(ServeError, match="re-record"):
             load_trace(path)
 
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda p: [p], "JSON object, not list"),
+        (lambda p: {**p, "report_version": True}, "invalid report_version"),
+        (lambda p: {**p, "report_version": REPORT_VERSION - 1},
+         "re-record"),
+        (lambda p: {**p, "config": {**p["config"], "duration_s": "x"}},
+         "duration_s must be float"),
+        (lambda p: {**p, "config": {**p["config"], "extra": 1}},
+         "unknown keys"),
+        (lambda p: {k: v for k, v in p.items() if k != "config"},
+         "JSON object"),
+        (lambda p: {**p, "arrivals": [[0.1]]}, r"\[time_s, class\]"),
+        (lambda p: {**p, "arrivals": [["x", "agg"]]},
+         r"\[time_s, class\]"),
+        (lambda p: {**p, "arrivals": [[True, "agg"]]},
+         r"\[time_s, class\]"),
+        (lambda p: {**p, "arrivals": [[0.1, ["agg"]]]},
+         r"\[time_s, class\]"),
+        (lambda p: {**p, "arrivals": None}, "no arrivals log"),
+        (lambda p: {"fleet_report_version": FLEET_REPORT_VERSION},
+         "fleet report"),
+    ])
+    def test_bad_trace_raises_serve_error(self, tmp_path, mutate, match):
+        _, path = _record(tmp_path)
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        with pytest.raises(ServeError, match=match):
+            load_trace(path)
+
     def test_rejects_unknown_class(self, tmp_path):
         _, path = _record(tmp_path)
         payload = json.loads(path.read_text())
@@ -116,9 +145,9 @@ class TestLoadTrace:
 class TestReplayThroughService:
     def test_same_policy_reproduces_the_run(self, tmp_path):
         recorded, path = _record(tmp_path, policy="none")
-        config = _replay_config(trace_config(path), policy="none")
+        config = _replay_config(path, policy="none")
         replayed = QueryService(
-            config, arrivals=load_trace(path)
+            config, arrivals=load_trace(path)[1]
         ).run()
         # The written report is the canonical trace: timestamps are
         # rounded to 9 decimals there, so the comparison happens at
@@ -138,22 +167,22 @@ class TestReplayThroughService:
 
     def test_replaying_a_replay_is_a_fixed_point(self, tmp_path):
         _, path = _record(tmp_path, policy="none")
-        config = _replay_config(trace_config(path), policy="none")
+        config = _replay_config(path, policy="none")
         replayed = QueryService(
-            config, arrivals=load_trace(path)
+            config, arrivals=load_trace(path)[1]
         ).run()
         second_path = replayed.write(tmp_path / "replay.json")
         again = QueryService(
-            _replay_config(trace_config(second_path), "none"),
-            arrivals=load_trace(second_path),
+            _replay_config(second_path, "none"),
+            arrivals=load_trace(second_path)[1],
         ).run()
         assert again.arrivals == replayed.arrivals
 
     def test_policy_ab_test_on_identical_traffic(self, tmp_path):
         recorded, path = _record(tmp_path, policy="none")
-        config = _replay_config(trace_config(path), policy="static")
+        config = _replay_config(path, policy="static")
         replayed = QueryService(
-            config, arrivals=load_trace(path)
+            config, arrivals=load_trace(path)[1]
         ).run()
         # Identical offered traffic, different policy under test.
         assert (
