@@ -32,10 +32,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
+from pathlib import Path
 from typing import Callable
 
 from . import seeding
+from .cluster import (
+    CLUSTER_MIXES,
+    CLUSTER_POLICIES,
+    CLUSTER_PROFILES,
+    ROUTERS,
+    ClusterConfig,
+)
+from .defense import DEFENSE_MODES
 from .experiments.runner import FigureResult
 from .hardware.engine import ENGINES, set_default_engine
 from .obs import (
@@ -48,6 +58,9 @@ from .obs import (
 )
 from .parallel import parallel_context
 from .parallel.worker import run_experiment_task
+from .planner import FORECASTERS, SEARCH_STRATEGIES
+from .serve import ServiceConfig
+from .serve.service import MIXES, POLICIES, PROFILES
 
 from .experiments import (
     ext_baselines,
@@ -192,84 +205,43 @@ def build_parser() -> argparse.ArgumentParser:
             "produce a byte-identical report."
         ),
     )
-    serve.add_argument(
-        "--profile",
-        choices=("poisson", "bursty", "diurnal", "replay"),
-        default="poisson",
+    bind = functools.partial(_bind, serve, ServiceConfig)
+    bind(
+        "--profile", "profile", choices=PROFILES,
         help=(
-            "arrival process (default: poisson); 'replay' re-drives "
-            "a recorded report's exact arrival sequence and requires "
-            "--trace-file"
+            "arrival process (default: %(default)s); 'replay' "
+            "re-drives a recorded report's exact arrival sequence and "
+            "requires --trace-file"
         ),
     )
     serve.add_argument(
         "--trace-file", default=None, metavar="REPORT",
         help=(
-            "recorded service report (schema v2+) whose arrival log "
-            "to replay; duration, rate, mix and seed come from the "
-            "trace, the policy under test from --policy"
+            "recorded service report (current report version) whose "
+            "arrival log to replay; duration, rate, mix and seed come "
+            "from the trace, the policy under test from --policy"
         ),
     )
-    serve.add_argument(
-        "--policy", choices=("none", "static", "adaptive"),
-        default="adaptive",
+    bind(
+        "--policy", "policy", choices=POLICIES,
         help=(
             "partitioning policy: none (full LLC for everyone), "
             "static (the paper's scheme), adaptive (online "
             "controller; default)"
         ),
     )
-    serve.add_argument(
-        "--mix", choices=("olap", "oltp", "shift"), default="olap",
+    bind(
+        "--mix", "mix", choices=MIXES,
         help=(
             "workload mix: olap-heavy, oltp-heavy, or an olap->oltp "
-            "shift at mid-run (default: olap)"
+            "shift at mid-run (default: %(default)s)"
         ),
-    )
-    serve.add_argument(
-        "--duration", type=float, default=20.0, metavar="SECONDS",
-        help="arrival horizon in simulated seconds (default: 20)",
-    )
-    serve.add_argument(
-        "--rate", type=float, default=12.0, metavar="PER_S",
-        help="nominal offered load in requests/s (default: 12)",
     )
     serve.add_argument(
         "--seed", type=int, default=None, metavar="N",
         help="arrival-process seed (recorded in the report)",
     )
-    serve.add_argument(
-        "--sample-window", type=float, default=None,
-        metavar="SECONDS",
-        help=(
-            "interval sampling: window length in simulated seconds "
-            "(default: off — every arrival is simulated)"
-        ),
-    )
-    serve.add_argument(
-        "--sample-period", type=int, default=10, metavar="K",
-        help=(
-            "simulate every K-th window, skipping the rest at O(1) "
-            "cost (default: 10; needs --sample-window)"
-        ),
-    )
-    serve.add_argument(
-        "--sample-warmup", type=float, default=0.5,
-        metavar="FRACTION",
-        help=(
-            "leading fraction of each simulated window treated as "
-            "warmup: arrivals run but are not measured "
-            "(default: 0.5)"
-        ),
-    )
-    serve.add_argument(
-        "--out", default="runs", metavar="DIR",
-        help="report directory (default: runs/)",
-    )
-    serve.add_argument(
-        "--trace", action="store_true",
-        help="print the span tree after the run",
-    )
+    _add_run_flags(serve, ServiceConfig, "nominal offered load")
 
     cluster = commands.add_parser(
         "cluster",
@@ -285,60 +257,49 @@ def build_parser() -> argparse.ArgumentParser:
             "--fleet-jobs value."
         ),
     )
-    cluster.add_argument(
-        "--nodes", type=int, default=2, metavar="N",
-        help="fleet size (default: 2)",
+    bind = functools.partial(_bind, cluster, ClusterConfig)
+    bind(
+        "--nodes", "nodes", type=int, metavar="N",
+        help="fleet size (default: %(default)s)",
     )
-    cluster.add_argument(
-        "--router",
-        choices=("hash", "least-loaded", "affinity", "planned"),
-        default="hash",
+    bind(
+        "--router", "router", choices=ROUTERS,
         help=(
             "routing policy: consistent hashing on tenant id, "
             "shortest admission queue, cache-affinity placement, or "
-            "planner-installed blueprint homes (default: hash; "
+            "planner-installed blueprint homes (default: %(default)s; "
             "--policy planned implies planned)"
         ),
     )
-    cluster.add_argument(
-        "--profile", choices=("poisson", "bursty", "diurnal"),
-        default="poisson",
-        help="per-node arrival process (default: poisson)",
+    bind(
+        "--profile", "profile", choices=CLUSTER_PROFILES,
+        help="per-node arrival process (default: %(default)s)",
     )
-    cluster.add_argument(
-        "--policy",
-        choices=("none", "static", "adaptive", "planned"),
-        default="adaptive",
+    bind(
+        "--policy", "policy", choices=CLUSTER_POLICIES,
         help=(
             "per-node CAT partitioning policy; 'planned' hands "
             "partitioning and placement to the fleet planner "
-            "(default: adaptive)"
+            "(default: %(default)s)"
         ),
     )
-    cluster.add_argument(
-        "--mix", choices=("olap", "oltp", "shift"), default="olap",
+    bind(
+        "--mix", "mix", choices=CLUSTER_MIXES,
         help=(
             "fleet workload mix over the three tenant groups; "
             "'shift' starts OLAP-heavy and flips to OLTP-heavy at "
-            "--shift-at (default: olap)"
+            "--shift-at (default: %(default)s)"
         ),
     )
-    cluster.add_argument(
-        "--shift-at", type=float, default=None, metavar="SECONDS",
+    bind(
+        "--shift-at", "shift_at_s", type=float, metavar="SECONDS",
         help=(
             "with --mix shift: the flip time in simulated seconds "
             "(default: half the duration)"
         ),
     )
-    cluster.add_argument(
-        "--duration", type=float, default=20.0, metavar="SECONDS",
-        help="arrival horizon in simulated seconds (default: 20)",
-    )
-    cluster.add_argument(
-        "--rate", type=float, default=12.0, metavar="PER_S",
-        help="offered load per source stream in requests/s "
-             "(default: 12)",
-    )
+    # The next three flags set the `faults` and `attacks` fields
+    # through a seeded draw or a spec parse, not verbatim.
     cluster.add_argument(
         "--faults", type=int, default=0, metavar="N",
         help=(
@@ -362,31 +323,31 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: 0)"
         ),
     )
-    cluster.add_argument(
-        "--defense", choices=("off", "jail", "evict"), default="off",
+    bind(
+        "--defense", "defense", choices=DEFENSE_MODES,
         help=(
             "contention defense: detect adversarial tenant groups "
             "and jail them in a minimal CAT partition; 'evict' also "
             "re-routes convicted groups onto a sacrificial node "
-            "(default: off)"
+            "(default: %(default)s)"
         ),
     )
-    cluster.add_argument(
-        "--defense-interval", type=float, default=1.0,
+    bind(
+        "--defense-interval", "defense_interval_s", type=float,
         metavar="SECONDS",
-        help="detector judgement period (default: 1)",
+        help="detector judgement period (default: %(default)s)",
     )
-    cluster.add_argument(
-        "--defense-convict", type=int, default=2, metavar="N",
-        help=(
-            "suspect windows before conviction (default: 2)"
-        ),
+    bind(
+        "--defense-convict", "defense_convict_windows", type=int,
+        metavar="N",
+        help="suspect windows before conviction (default: %(default)s)",
     )
-    cluster.add_argument(
-        "--defense-release", type=int, default=3, metavar="N",
+    bind(
+        "--defense-release", "defense_release_windows", type=int,
+        metavar="N",
         help=(
             "clean windows before a convicted group is released "
-            "(default: 3)"
+            "(default: %(default)s)"
         ),
     )
     cluster.add_argument(
@@ -404,73 +365,47 @@ def build_parser() -> argparse.ArgumentParser:
             "warning) (default: 1)"
         ),
     )
-    cluster.add_argument(
-        "--sample-window", type=float, default=None,
-        metavar="SECONDS",
-        help=(
-            "interval sampling: window length in simulated seconds, "
-            "applied to every source stream (default: off)"
-        ),
-    )
-    cluster.add_argument(
-        "--sample-period", type=int, default=10, metavar="K",
-        help=(
-            "simulate every K-th window (default: 10; needs "
-            "--sample-window)"
-        ),
-    )
-    cluster.add_argument(
-        "--sample-warmup", type=float, default=0.5,
-        metavar="FRACTION",
-        help=(
-            "leading fraction of each simulated window treated as "
-            "warmup (default: 0.5)"
-        ),
-    )
-    cluster.add_argument(
-        "--plan-interval", type=float, default=2.0,
+    bind(
+        "--plan-interval", "plan_interval_s", type=float,
         metavar="SECONDS",
         help=(
             "planned policy: replanning tick period in simulated "
-            "seconds (default: 2)"
+            "seconds (default: %(default)s)"
         ),
     )
-    cluster.add_argument(
-        "--plan-horizon", type=float, default=4.0,
+    bind(
+        "--plan-horizon", "plan_horizon_s", type=float,
         metavar="SECONDS",
         help=(
             "planned policy: forecast look-ahead in simulated "
-            "seconds (default: 4)"
+            "seconds (default: %(default)s)"
         ),
     )
-    cluster.add_argument(
-        "--plan-downtime", type=float, default=0.25,
+    bind(
+        "--plan-downtime", "plan_downtime_s", type=float,
         metavar="SECONDS",
         help=(
             "planned policy: per-migration tenant blackout in "
-            "simulated seconds (default: 0.25)"
+            "simulated seconds (default: %(default)s)"
         ),
     )
-    cluster.add_argument(
-        "--plan-forecaster", choices=("ewma", "seasonal"),
-        default="seasonal",
+    bind(
+        "--plan-forecaster", "plan_forecaster", choices=FORECASTERS,
         help=(
             "planned policy: per-tenant arrival forecaster "
-            "(default: seasonal)"
+            "(default: %(default)s)"
         ),
     )
-    cluster.add_argument(
-        "--plan-margin", type=float, default=0.1,
-        metavar="FRACTION",
+    bind(
+        "--plan-margin", "plan_margin", type=float, metavar="FRACTION",
         help=(
             "planned policy: hysteresis — a candidate blueprint must "
             "beat the incumbent's predicted score by this relative "
-            "margin to trigger a transition (default: 0.1)"
+            "margin to trigger a transition (default: %(default)s)"
         ),
     )
-    cluster.add_argument(
-        "--plan-period", type=float, default=None,
-        metavar="SECONDS",
+    bind(
+        "--plan-period", "plan_period_s", type=float, metavar="SECONDS",
         help=(
             "planned policy: seasonal period in simulated seconds "
             "(default: the run duration)"
@@ -483,44 +418,109 @@ def build_parser() -> argparse.ArgumentParser:
             "recorded fleet report's arrival_windows block"
         ),
     )
-    cluster.add_argument(
-        "--search", choices=("enum", "beam"), default="enum",
+    bind(
+        "--search", "plan_search", choices=SEARCH_STRATEGIES,
         help=(
             "planned policy: blueprint candidate generation — score "
             "the bounded enumerated family, or beam-search the full "
-            "placement space seeded by it (default: enum)"
+            "placement space seeded by it (default: %(default)s)"
         ),
     )
-    cluster.add_argument(
-        "--beam-width", type=int, default=16, metavar="N",
+    bind(
+        "--beam-width", "plan_beam_width", type=int, metavar="N",
         help=(
             "planned policy: beam frontier kept per search round "
-            "(default: 16)"
+            "(default: %(default)s)"
         ),
     )
-    cluster.add_argument(
-        "--search-steps", type=int, default=4, metavar="N",
+    bind(
+        "--search-steps", "plan_search_steps", type=int, metavar="N",
         help=(
             "planned policy: beam expansion rounds per plan tick "
-            "(default: 4)"
+            "(default: %(default)s)"
         ),
     )
-    cluster.add_argument(
-        "--search-candidates", type=int, default=2000, metavar="N",
+    bind(
+        "--search-candidates", "plan_search_candidates", type=int,
+        metavar="N",
         help=(
             "planned policy: per-tick candidate scoring budget for "
-            "the beam search (default: 2000)"
+            "the beam search (default: %(default)s)"
         ),
     )
-    cluster.add_argument(
+    _add_run_flags(
+        cluster, ClusterConfig, "offered load per source stream"
+    )
+    return parser
+
+
+def _bind(parser, config, flag: str, name: str, **options) -> None:
+    """Add ``flag`` bound to field ``name`` of ``config``: the field's
+    name is the flag's dest and its default the flag's default."""
+    options.setdefault("default", getattr(config, name))
+    parser.add_argument(flag, dest=name, **options)
+
+
+def _add_run_flags(parser, config, load: str) -> None:
+    """The flags ``serve`` and ``cluster`` share: the horizon, the
+    offered load (``load`` says which), interval sampling, output."""
+    bind = functools.partial(_bind, parser, config)
+    bind(
+        "--duration", "duration_s", type=float, metavar="SECONDS",
+        help=(
+            "arrival horizon in simulated seconds "
+            "(default: %(default)s)"
+        ),
+    )
+    bind(
+        "--rate", "rate_per_s", type=float, metavar="PER_S",
+        help=f"{load} in requests/s (default: %(default)s)",
+    )
+    bind(
+        "--sample-window", "sample_window_s", type=float,
+        metavar="SECONDS",
+        help=(
+            "interval sampling: window length in simulated seconds "
+            "(default: off — every arrival is simulated)"
+        ),
+    )
+    # The one flag whose default is not the config's (1): unsampled
+    # reports have always recorded the CLI's 10.
+    bind(
+        "--sample-period", "sample_period", type=int, default=10,
+        metavar="K",
+        help=(
+            "simulate every K-th window, skipping the rest at O(1) "
+            "cost (default: %(default)s; needs --sample-window)"
+        ),
+    )
+    bind(
+        "--sample-warmup", "sample_warmup", type=float,
+        metavar="FRACTION",
+        help=(
+            "leading fraction of each simulated window treated as "
+            "warmup: arrivals run but are not measured "
+            "(default: %(default)s)"
+        ),
+    )
+    parser.add_argument(
         "--out", default="runs", metavar="DIR",
         help="report directory (default: runs/)",
     )
-    cluster.add_argument(
+    parser.add_argument(
         "--trace", action="store_true",
         help="print the span tree after the run",
     )
-    return parser
+
+
+def _bound_config(config, args: argparse.Namespace, **values):
+    """``config`` built from the flags bound to its fields; ``values``
+    set the fields a flag does not give verbatim."""
+    bound = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(config) if hasattr(args, f.name)
+    }
+    return config(**{**bound, **values})
 
 
 def expand_experiments(name: str) -> list[str]:
@@ -630,7 +630,7 @@ def _run_parallel(names: list[str], args: argparse.Namespace) -> None:
 def _run_serve(args: argparse.Namespace) -> int:
     """Run one service simulation and write its report."""
     from .errors import ServeError
-    from .serve import QueryService, ServiceConfig, load_trace
+    from .serve import QueryService, load_trace
     from .serve.arrivals import DEFAULT_ARRIVAL_SEED
 
     if (args.profile == "replay") != (args.trace_file is not None):
@@ -646,27 +646,23 @@ def _run_serve(args: argparse.Namespace) -> int:
         if args.profile == "replay":
             # The recorded config is authoritative — the run differs
             # only in the policy under test, so latency deltas are
-            # attributable to it alone.
+            # attributable to it alone.  The report is named after the
+            # trace file, so a recording and its replays match by name.
             recorded, arrivals = load_trace(args.trace_file)
             config = dataclasses.replace(
                 recorded, profile="replay", policy=args.policy
             )
-            label = str(recorded.seed)
+            name = Path(args.trace_file).stem
+            label = f"trace={name}"
         else:
-            config = ServiceConfig(
-                profile=args.profile,
-                policy=args.policy,
-                mix=args.mix,
-                duration_s=args.duration,
-                rate_per_s=args.rate,
+            config = _bound_config(
+                ServiceConfig, args,
                 seed=seeding.derive(
                     "serve.arrivals", DEFAULT_ARRIVAL_SEED
                 ),
-                sample_window_s=args.sample_window,
-                sample_period=args.sample_period,
-                sample_warmup=args.sample_warmup,
             )
-            label = "default" if args.seed is None else str(args.seed)
+            seed = "default" if args.seed is None else str(args.seed)
+            name, label = f"seed{seed}", f"seed={seed}"
         with observing() as (tracer, _):
             with tracer.span("serve"):
                 report = QueryService(config, arrivals=arrivals).run()
@@ -674,13 +670,12 @@ def _run_serve(args: argparse.Namespace) -> int:
             print()
             print(format_spans(tracer.root))
         path = report.write(
-            f"{args.out}/serve-{args.profile}-{args.policy}-"
-            f"seed{label}.json"
+            f"{args.out}/serve-{args.profile}-{args.policy}-{name}.json"
         )
         print(
             f"serve: profile={args.profile} policy={args.policy} "
             f"mix={config.mix} duration={config.duration_s:g}s "
-            f"rate={config.rate_per_s:g}/s seed={label}"
+            f"rate={config.rate_per_s:g}/s {label}"
         )
         print(
             f"  arrived={report.arrived} admitted={report.admitted} "
@@ -744,181 +739,134 @@ def _parse_attack(text: str):
 
 def _run_cluster(args: argparse.Namespace) -> int:
     """Run one fleet simulation and write its report."""
-    from .cluster import Cluster, ClusterConfig, seeded_faults
+    from .cluster import Cluster, seeded_faults
     from .defense import seeded_attacks
     from .errors import ClusterError, DefenseError, PlannerError
     from .planner import training_from_report
     from .schema import load_report
     from .serve.arrivals import DEFAULT_ARRIVAL_SEED
 
-    if args.fleet_jobs < 1:
-        print(
-            f"error: --fleet-jobs must be >= 1, got "
-            f"{args.fleet_jobs}",
-            file=sys.stderr,
-        )
-        return 2
     # The planned policy and the planned router are one feature; let
     # `--policy planned` alone select both rather than demanding the
     # redundant `--router planned`.
     if args.policy == "planned" and args.router == "hash":
         args.router = "planned"
-    training: tuple = ()
-    if args.plan_train is not None:
-        try:
+    seeding.set_seed(args.seed)
+    try:
+        training = ()
+        if args.plan_train is not None:
             training = training_from_report(
                 load_report(args.plan_train, PlannerError)
             )
-        except PlannerError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    seeding.set_seed(args.seed)
-    try:
         fleet_seed = seeding.derive("cluster", DEFAULT_ARRIVAL_SEED)
-        try:
-            faults = (
-                seeded_faults(
-                    args.nodes, args.faults, args.duration,
-                    fleet_seed,
-                )
-                if args.faults else ()
+        faults = (
+            seeded_faults(
+                args.nodes, args.faults, args.duration_s, fleet_seed
             )
-            attacks = tuple(
-                _parse_attack(text) for text in (args.attack or ())
+            if args.faults else ()
+        )
+        attacks = tuple(
+            _parse_attack(text) for text in (args.attack or ())
+        )
+        if args.attacks:
+            attacks += seeded_attacks(
+                args.attacks, args.duration_s, fleet_seed
             )
-            if args.attacks:
-                attacks += seeded_attacks(
-                    args.attacks, args.duration, fleet_seed
-                )
-            config = ClusterConfig(
-                nodes=args.nodes,
-                router=args.router,
-                profile=args.profile,
-                policy=args.policy,
-                mix=args.mix,
-                duration_s=args.duration,
-                rate_per_s=args.rate,
-                seed=fleet_seed,
-                faults=faults,
-                sample_window_s=args.sample_window,
-                sample_period=args.sample_period,
-                sample_warmup=args.sample_warmup,
-                shift_at_s=args.shift_at,
-                plan_interval_s=args.plan_interval,
-                plan_horizon_s=args.plan_horizon,
-                plan_downtime_s=args.plan_downtime,
-                plan_forecaster=args.plan_forecaster,
-                plan_period_s=args.plan_period,
-                plan_margin=args.plan_margin,
-                plan_search=args.search,
-                plan_beam_width=args.beam_width,
-                plan_search_steps=args.search_steps,
-                plan_search_candidates=args.search_candidates,
-                plan_training=training,
-                attacks=attacks,
-                defense=args.defense,
-                defense_interval_s=args.defense_interval,
-                defense_convict_windows=args.defense_convict,
-                defense_release_windows=args.defense_release,
-            )
-        except (ClusterError, DefenseError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        config = _bound_config(
+            ClusterConfig, args, seed=fleet_seed, faults=faults,
+            attacks=attacks, plan_training=training,
+        )
         with observing() as (tracer, _):
             with tracer.span("cluster"):
                 report = Cluster(config).run(fleet_jobs=args.fleet_jobs)
-        if args.trace:
-            print()
-            print(format_spans(tracer.root))
-        label = "default" if args.seed is None else str(args.seed)
-        path = report.write(
-            f"{args.out}/cluster-{args.router}-n{args.nodes}-"
-            f"seed{label}.json"
-        )
-        print(
-            f"cluster: nodes={args.nodes} router={args.router} "
-            f"policy={args.policy} mix={args.mix} "
-            f"profile={args.profile} duration={args.duration:g}s "
-            f"rate={args.rate:g}/s/node seed={label} "
-            f"fleet-jobs={args.fleet_jobs} "
-            f"epochs={report.execution['epochs']}"
-        )
-        for warning in report.execution["warnings"]:
-            print(f"  warning: {warning}")
-        print(
-            f"  generated={report.generated} "
-            f"completed={report.completed} "
-            f"forwarded={report.forwarded} "
-            f"failovers={report.failovers} "
-            f"shed(admission={report.shed_admission} "
-            f"failure={report.shed_failure} "
-            f"no-node={report.shed_no_node})"
-        )
-        if report.planner.get("enabled"):
-            planner = report.planner
-            schemes = ",".join(planner["blueprint"]["schemes"])
-            search = planner["search"]
-            print(
-                f"  planner: ticks={planner['ticks']} "
-                f"reconfigurations={planner['reconfigurations']} "
-                f"migrated={planner['migrated_tenants']} "
-                f"deferred={planner['deferred_requests']} "
-                f"schemes=[{schemes}]"
-            )
-            print(
-                f"  search: strategy={search['strategy']} "
-                f"scored={search['candidates_scored']} "
-                f"rounds={search['rounds']} "
-                f"improvements={search['frontier_improvements']}"
-            )
-        defense = report.defense
-        if defense.get("enabled") or defense.get("attacks"):
-            arrivals = sum(
-                defense.get("attack_arrivals", {}).values()
-            )
-            line = (
-                f"  defense: mode={defense['mode']} "
-                f"attacks={len(defense['attacks'])} "
-                f"attack-arrivals={arrivals}"
-            )
-            if defense.get("enabled"):
-                jailed = sum(
-                    defense.get("jail_seconds", {}).values()
-                )
-                line += (
-                    f" convictions={len(defense['convictions'])} "
-                    f"false-positives="
-                    f"{len(defense['false_positives'])} "
-                    f"missed={len(defense['missed'])} "
-                    f"jailed={jailed:.2f}s"
-                )
-            print(line)
-        for verdict in report.fleet_slo:
-            status = "OK" if verdict.ok else "VIOLATED"
-            print(
-                f"  fleet {verdict.tenant}: n={verdict.completed} "
-                f"p50={verdict.p50_s:.3f}s p95={verdict.p95_s:.3f}s "
-                f"p99={verdict.p99_s:.3f}s [{status}]"
-            )
-        for stats, node_report in zip(
-            report.node_stats, report.node_reports
-        ):
-            extra = ""
-            if stats["kills"]:
-                extra = (
-                    f" kills={stats['kills']} "
-                    f"down={stats['downtime_s']:.2f}s "
-                    f"lost={stats['failure_shed']}"
-                )
-            print(
-                f"  node {stats['index']}: "
-                f"routed={stats['routed_in']} "
-                f"completed={node_report.completed} "
-                f"shed={node_report.shed}{extra}"
-            )
-        print(f"report: {path}")
+    except (ClusterError, DefenseError, PlannerError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
         seeding.set_seed(None)
+    if args.trace:
+        print()
+        print(format_spans(tracer.root))
+    label = "default" if args.seed is None else str(args.seed)
+    path = report.write(
+        f"{args.out}/cluster-{config.router}-n{config.nodes}-"
+        f"seed{label}.json"
+    )
+    print(
+        f"cluster: nodes={config.nodes} router={config.router} "
+        f"policy={config.policy} mix={config.mix} "
+        f"profile={config.profile} duration={config.duration_s:g}s "
+        f"rate={config.rate_per_s:g}/s/node seed={label} "
+        f"fleet-jobs={args.fleet_jobs} "
+        f"epochs={report.execution['epochs']}"
+    )
+    for warning in report.execution["warnings"]:
+        print(f"  warning: {warning}")
+    print(
+        f"  generated={report.generated} "
+        f"completed={report.completed} "
+        f"forwarded={report.forwarded} "
+        f"failovers={report.failovers} "
+        f"shed(admission={report.shed_admission} "
+        f"failure={report.shed_failure} "
+        f"no-node={report.shed_no_node})"
+    )
+    if report.planner.get("enabled"):
+        planner = report.planner
+        schemes = ",".join(planner["blueprint"]["schemes"])
+        search = planner["search"]
+        print(
+            f"  planner: ticks={planner['ticks']} "
+            f"reconfigurations={planner['reconfigurations']} "
+            f"migrated={planner['migrated_tenants']} "
+            f"deferred={planner['deferred_requests']} "
+            f"schemes=[{schemes}]"
+        )
+        print(
+            f"  search: strategy={search['strategy']} "
+            f"scored={search['candidates_scored']} "
+            f"rounds={search['rounds']} "
+            f"improvements={search['frontier_improvements']}"
+        )
+    defense = report.defense
+    if defense.get("enabled") or defense.get("attacks"):
+        arrivals = sum(defense.get("attack_arrivals", {}).values())
+        line = (
+            f"  defense: mode={defense['mode']} "
+            f"attacks={len(defense['attacks'])} "
+            f"attack-arrivals={arrivals}"
+        )
+        if defense.get("enabled"):
+            jailed = sum(defense.get("jail_seconds", {}).values())
+            line += (
+                f" convictions={len(defense['convictions'])} "
+                f"false-positives="
+                f"{len(defense['false_positives'])} "
+                f"missed={len(defense['missed'])} "
+                f"jailed={jailed:.2f}s"
+            )
+        print(line)
+    for verdict in report.fleet_slo:
+        status = "OK" if verdict.ok else "VIOLATED"
+        print(
+            f"  fleet {verdict.tenant}: n={verdict.completed} "
+            f"p50={verdict.p50_s:.3f}s p95={verdict.p95_s:.3f}s "
+            f"p99={verdict.p99_s:.3f}s [{status}]"
+        )
+    for stats, node_report in zip(report.node_stats, report.node_reports):
+        extra = ""
+        if stats["kills"]:
+            extra = (
+                f" kills={stats['kills']} "
+                f"down={stats['downtime_s']:.2f}s "
+                f"lost={stats['failure_shed']}"
+            )
+        print(
+            f"  node {stats['index']}: routed={stats['routed_in']} "
+            f"completed={node_report.completed} "
+            f"shed={node_report.shed}{extra}"
+        )
+    print(f"report: {path}")
     return 0
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .. import seeding
 from ..errors import ClusterError
+from ..schema import check_finite, config_from_dict, config_to_dict
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,7 @@ class FaultSpec:
     recover_at_s: float | None = None
 
     def __post_init__(self) -> None:
+        check_finite(self, ClusterError)
         if self.node < 0:
             raise ClusterError(f"fault node must be >= 0: {self.node}")
         if self.kill_at_s < 0.0:
@@ -44,14 +46,11 @@ class FaultSpec:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "node": self.node,
-            "kill_at_s": round(self.kill_at_s, 9),
-            "recover_at_s": (
-                None if self.recover_at_s is None
-                else round(self.recover_at_s, 9)
-            ),
-        }
+        return config_to_dict(self)
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "FaultSpec":
+        return config_from_dict(cls, payload, ClusterError)
 
 
 @dataclass(frozen=True)

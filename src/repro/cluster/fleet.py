@@ -102,7 +102,7 @@ import numpy as np
 
 from .. import seeding
 from ..config import SystemSpec
-from ..defense.attacks import attack_classes, validate_attacks
+from ..defense.attacks import AttackSpec, attack_classes, validate_attacks
 from ..defense.detector import ContentionDetector, DefenseConfig
 from ..errors import ClusterError, DefenseError, PlannerError, ServeError
 from ..hardware.cat import contiguous_mask
@@ -116,7 +116,12 @@ from ..planner import (
     FleetPlanner,
     PlannerConfig,
 )
-from ..schema import FLEET_REPORT_VERSION
+from ..schema import (
+    FLEET_REPORT_VERSION,
+    check_finite,
+    config_from_dict,
+    config_to_dict,
+)
 from ..serve.arrivals import (
     ARRIVAL_WINDOW_S,
     DEFAULT_ARRIVAL_SEED,
@@ -179,7 +184,7 @@ class ClusterConfig:
     oltp_p99_s: float = 2.0
     tenants_per_group: int = 8
     virtual_nodes: int = DEFAULT_VIRTUAL_NODES
-    faults: tuple = ()
+    faults: tuple[FaultSpec, ...] = ()
     #: Interval sampling (see repro.serve.arrivals.SampleGrid): every
     #: source stream skips arrivals outside simulated windows, and
     #: nodes record only post-warmup arrivals — million-arrival
@@ -210,14 +215,14 @@ class ClusterConfig:
     plan_search_candidates: int = 2000
     #: Pre-training windows — ``((class, count), ...)`` per window, the
     #: output of :func:`repro.planner.training_from_report`.
-    plan_training: tuple = ()
+    plan_training: tuple[tuple[tuple[str, int], ...], ...] = ()
     #: Adversarial tenants and contention defense (see
     #: :mod:`repro.defense` and docs/DEFENSE.md).  ``attacks`` holds
     #: :class:`~repro.defense.attacks.AttackSpec` schedules;
     #: ``defense`` picks the response — ``off`` (no monitoring),
     #: ``jail`` (CAT jail masks on conviction), or ``evict`` (jail
     #: plus sacrificial-node routing).
-    attacks: tuple = ()
+    attacks: tuple[AttackSpec, ...] = ()
     defense: str = "off"
     defense_interval_s: float = 1.0
     defense_convict_windows: int = 2
@@ -227,6 +232,7 @@ class ClusterConfig:
     defense_duty_threshold: float = 2.0
 
     def __post_init__(self) -> None:
+        check_finite(self, ClusterError)
         if self.nodes <= 0:
             raise ClusterError(f"nodes must be >= 1: {self.nodes}")
         if self.router not in ROUTERS:
@@ -350,18 +356,13 @@ class ClusterConfig:
         return self.node_config(0).sample_grid()
 
     def to_dict(self) -> dict:
-        return {
-            f.name: _jsonable(getattr(self, f.name)) for f in fields(self)
-        }
+        return config_to_dict(self)
 
-
-def _jsonable(value):
-    """``value`` with nested specs as dicts and tuples as lists."""
-    if hasattr(value, "to_dict"):
-        return value.to_dict()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ClusterConfig":
+        """The inverse of :meth:`to_dict`, nested fault and attack
+        specs and training windows included."""
+        return config_from_dict(cls, payload, ClusterError)
 
 
 def _as_tuples(value):

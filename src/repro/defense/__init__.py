@@ -17,7 +17,6 @@ from .attacks import (
     DEFAULT_ATTACK_RATE,
     AttackSpec,
     attack_classes,
-    attack_from_dict,
     seeded_attacks,
     validate_attacks,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "DEFAULT_ATTACK_RATE",
     "AttackSpec",
     "attack_classes",
-    "attack_from_dict",
     "seeded_attacks",
     "validate_attacks",
     "DEFENSE_MODES",

@@ -35,7 +35,13 @@ from ..errors import DefenseError
 from ..model.calibration import DEFAULT_CALIBRATION, Calibration
 from ..model.streams import AccessProfile, RandomRegion, SequentialStream
 from ..operators.base import CacheUsage
-from ..schema import ATTACK_SCHEMA_VERSION, check_version
+from ..schema import (
+    ATTACK_SCHEMA_VERSION,
+    check_finite,
+    check_version,
+    config_from_dict,
+    config_to_dict,
+)
 from ..serve.arrivals import RequestClass
 
 #: The recognised hostile profiles, in canonical order.
@@ -67,6 +73,7 @@ class AttackSpec:
     rate_per_s: float = DEFAULT_ATTACK_RATE
 
     def __post_init__(self) -> None:
+        check_finite(self, DefenseError)
         if self.profile not in ATTACK_PROFILES:
             raise DefenseError(
                 f"unknown attack profile {self.profile!r}; expected "
@@ -88,35 +95,21 @@ class AttackSpec:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": ATTACK_SCHEMA_VERSION,
-            "profile": self.profile,
-            "start_s": round(self.start_s, 9),
-            "stop_s": (
-                None if self.stop_s is None else round(self.stop_s, 9)
-            ),
-            "rate_per_s": round(self.rate_per_s, 9),
+            "schema_version": ATTACK_SCHEMA_VERSION, **config_to_dict(self),
         }
 
-
-def attack_from_dict(payload: dict) -> AttackSpec:
-    """The inverse of :meth:`AttackSpec.to_dict` (current schema only)."""
-    check_version(
-        payload, "schema_version", ATTACK_SCHEMA_VERSION, DefenseError
-    )
-    try:
-        return AttackSpec(
-            profile=payload["profile"],
-            start_s=float(payload["start_s"]),
-            stop_s=(
-                None if payload["stop_s"] is None
-                else float(payload["stop_s"])
-            ),
-            rate_per_s=float(payload["rate_per_s"]),
-        )
-    except KeyError as exc:
-        raise DefenseError(
-            f"attack spec is missing required key: {exc}"
-        ) from None
+    @classmethod
+    def from_dict(cls, payload: dict) -> "AttackSpec":
+        """The inverse of :meth:`to_dict` (current schema only)."""
+        if isinstance(payload, dict):
+            check_version(
+                payload, "schema_version", ATTACK_SCHEMA_VERSION,
+                DefenseError,
+            )
+            payload = {
+                k: v for k, v in payload.items() if k != "schema_version"
+            }
+        return config_from_dict(cls, payload, DefenseError)
 
 
 def validate_attacks(

@@ -45,7 +45,13 @@ from ..errors import DefenseError
 from ..model.calibration import DEFAULT_CALIBRATION, Calibration
 from ..model.simulator import QuerySpec
 from ..obs import runtime
-from ..schema import DETECTOR_SCHEMA_VERSION, check_version
+from ..schema import (
+    DETECTOR_SCHEMA_VERSION,
+    check_finite,
+    check_version,
+    config_from_dict,
+    config_to_dict,
+)
 from ..serve.arrivals import RequestClass
 from ..serve.controller import classify_cached
 
@@ -71,6 +77,7 @@ class DefenseConfig:
     duty_threshold: float = 2.0
 
     def __post_init__(self) -> None:
+        check_finite(self, DefenseError)
         if self.mode not in DEFENSE_MODES:
             raise DefenseError(
                 f"unknown defense mode {self.mode!r}; expected one "
@@ -106,32 +113,11 @@ class DefenseConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "interval_s": round(self.interval_s, 9),
-            "convict_windows": self.convict_windows,
-            "release_windows": self.release_windows,
-            "bandwidth_share": round(self.bandwidth_share, 9),
-            "occupancy_share": round(self.occupancy_share, 9),
-            "duty_threshold": round(self.duty_threshold, 9),
-        }
+        return config_to_dict(self)
 
-
-def config_from_dict(payload: dict) -> DefenseConfig:
-    try:
-        return DefenseConfig(
-            mode=payload["mode"],
-            interval_s=float(payload["interval_s"]),
-            convict_windows=int(payload["convict_windows"]),
-            release_windows=int(payload["release_windows"]),
-            bandwidth_share=float(payload["bandwidth_share"]),
-            occupancy_share=float(payload["occupancy_share"]),
-            duty_threshold=float(payload["duty_threshold"]),
-        )
-    except KeyError as exc:
-        raise DefenseError(
-            f"defense config is missing required key: {exc}"
-        ) from None
+    @classmethod
+    def from_dict(cls, payload: dict) -> "DefenseConfig":
+        return config_from_dict(cls, payload, DefenseError)
 
 
 class ContentionDetector:
@@ -377,7 +363,7 @@ def detector_from_dict(
     try:
         detector = ContentionDetector(
             spec=spec if spec is not None else SystemSpec(),
-            config=config_from_dict(payload["config"]),
+            config=DefenseConfig.from_dict(payload["config"]),
             classes=classes if classes is not None else {},
             nodes=int(payload["nodes"]),
             window_s=float(payload["window_s"]),

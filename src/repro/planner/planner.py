@@ -31,6 +31,7 @@ import time
 
 from ..errors import PlannerError
 from ..obs import runtime
+from ..schema import check_finite
 from .blueprint import (
     MAX_FAMILY_CANDIDATES,
     Blueprint,
@@ -80,6 +81,7 @@ class PlannerConfig:
     training: tuple = ()
 
     def __post_init__(self) -> None:
+        check_finite(self, PlannerError)
         if self.interval_s <= 0:
             raise PlannerError(
                 f"plan interval must be > 0: {self.interval_s}"

@@ -1,4 +1,4 @@
-"""Schema versions and the one version rule for every versioned payload.
+"""Schema versions, the one version rule and the one config contract.
 
 Service and fleet reports, attack specs, detector state and run
 artifacts each carry a version key.  Every version number is defined
@@ -9,6 +9,13 @@ repository keeps an older layout around, so there are no per-version
 shims — an older payload is rejected with a pointer to re-record it,
 a newer one with the build's version.
 
+Every config dataclass (service, fleet, planner, defense, sampling,
+attack and fault specs) keeps one contract, also defined here:
+:func:`check_finite` is the first check of its ``__post_init__``,
+:func:`config_to_dict` its exact, field-driven serialization, and
+:func:`config_from_dict` the inverse that ``from_dict`` delegates to —
+so a report's config block determines its run.
+
 Loaders pass their own :mod:`repro.errors` class, so each subsystem
 keeps its error family.
 """
@@ -16,7 +23,13 @@ keeps its error family.
 from __future__ import annotations
 
 import json
+import math
+import types
+import typing
+from dataclasses import fields
 from pathlib import Path
+
+from .errors import ReproError
 
 #: Service report (``report_version``): the run's config block, the
 #: offered ``arrivals`` log replay re-drives, the per-window
@@ -117,3 +130,88 @@ def load_report(
         f"{where} is not a service report or fleet report: it has no "
         f"{' or '.join(map(repr, _REPORT_KEYS))} key"
     )
+
+
+def check_finite(config, error: type[Exception]) -> None:
+    """The one value rule: every float field of ``config`` is finite.
+
+    NaN and ±inf raise ``error`` naming the field — ``x <= 0`` checks
+    alone let NaN through.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite: {value}")
+
+
+def config_to_dict(config) -> dict:
+    """``config``'s fields, unrounded: nested specs via their own
+    ``to_dict``, tuples as lists."""
+    return {f.name: _jsonable(getattr(config, f.name)) for f in fields(config)}
+
+
+def _jsonable(value):
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    return value
+
+
+def config_from_dict(cls, payload: dict, error: type[Exception]):
+    """The inverse of :func:`config_to_dict`, through JSON.
+
+    Every field of ``cls`` must be present and no other key.  Each
+    value must have its field's declared JSON type — an int counts as
+    a float, a bool as nothing, a tuple is a list — and a nested spec
+    is rebuilt through its own ``from_dict``.  Values then pass
+    unchanged to ``cls``'s own construction checks.
+    """
+    what = cls.__name__
+    if not isinstance(payload, dict):
+        raise error(
+            f"{what} block must be a JSON object: {type(payload).__name__}"
+        )
+    names = [f.name for f in fields(cls)]
+    missing = sorted(set(names) - payload.keys())
+    unknown = sorted(payload.keys() - set(names))
+    if missing or unknown:
+        raise error(
+            f"{what} block has missing keys {missing} and unknown keys "
+            f"{unknown}"
+        )
+    hints = typing.get_type_hints(cls)
+    return cls(**{
+        name: _load(hints[name], payload[name], f"{what}.{name}", error)
+        for name in names
+    })
+
+
+#: Scalar field type -> the JSON values it admits.
+_SCALARS = {str: (str,), int: (int,), float: (int, float)}
+
+
+def _load(hint, value, where: str, error: type[Exception]):
+    """``value`` checked against the type ``hint``, specs rebuilt."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None and type(None) in typing.get_args(hint):
+            return None
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if hasattr(hint, "from_dict"):
+        try:
+            return hint.from_dict(value)
+        except ReproError as exc:
+            raise error(f"{where}: {exc}") from exc
+    if typing.get_origin(hint) is tuple:
+        kinds = typing.get_args(hint)
+        if kinds[-1] is Ellipsis and isinstance(value, list):
+            kinds = kinds[:1] * len(value)
+        if not isinstance(value, list) or len(value) != len(kinds):
+            raise error(f"{where} must be a list ({hint}): {value!r}")
+        return tuple(
+            _load(kind, item, f"{where}[{i}]", error)
+            for i, (kind, item) in enumerate(zip(kinds, value))
+        )
+    if isinstance(value, bool) or not isinstance(value, _SCALARS[hint]):
+        raise error(f"{where} must be {hint.__name__}: {value!r}")
+    return value

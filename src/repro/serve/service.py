@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..config import SystemSpec
@@ -54,7 +54,12 @@ from ..operators.base import CacheUsage
 from ..hardware.cat import CatController
 from ..resctrl.filesystem import ResctrlFilesystem
 from ..resctrl.interface import ResctrlInterface
-from ..schema import REPORT_VERSION
+from ..schema import (
+    REPORT_VERSION,
+    check_finite,
+    config_from_dict,
+    config_to_dict,
+)
 from .admission import AdmissionController, AdmissionDecision, Request
 from .arrivals import (
     DEFAULT_ARRIVAL_SEED,
@@ -176,10 +181,7 @@ class ServiceConfig:
     sample_warmup: float = 0.5
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ServeError(f"{f.name} must be finite: {value}")
+        check_finite(self, ServeError)
         if self.profile not in PROFILES:
             raise ServeError(
                 f"profile must be one of {PROFILES}: {self.profile!r}"
@@ -230,49 +232,12 @@ class ServiceConfig:
         )
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ServiceConfig":
-        """The inverse of :meth:`to_dict`: ``from_dict(to_dict(c)) == c``.
-
-        Every field must be present, with its declared type (an int
-        counts as a float, a bool as nothing); values pass through
-        unchanged to the usual construction checks.
-        """
-        if not isinstance(payload, dict):
-            raise ServeError(
-                "config block must be a JSON object: "
-                f"{type(payload).__name__}"
-            )
-        names = {f.name for f in fields(cls)}
-        missing = sorted(names - payload.keys())
-        unknown = sorted(payload.keys() - names)
-        if missing or unknown:
-            raise ServeError(
-                f"config block has missing keys {missing} and unknown "
-                f"keys {unknown}"
-            )
-        for f in fields(cls):
-            value = payload[f.name]
-            allowed = tuple(
-                kind for name in f.type.split(" | ")
-                for kind in _FIELD_TYPES[name]
-            )
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ServeError(
-                    f"config {f.name} must be {f.type}: {value!r}"
-                )
-        return cls(**payload)
-
-
-#: Field annotation -> accepted JSON value types (``from_dict``).
-_FIELD_TYPES = {
-    "str": (str,),
-    "int": (int,),
-    "float": (int, float),
-    "None": (type(None),),
-}
+        """The inverse of :meth:`to_dict`: ``from_dict(to_dict(c)) == c``."""
+        return config_from_dict(cls, payload, ServeError)
 
 
 @dataclass

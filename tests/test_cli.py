@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -10,6 +11,8 @@ from repro.cli import (
     expand_experiments,
     main,
 )
+from repro.cluster import ClusterConfig
+from repro.serve import ServiceConfig
 
 
 class TestParser:
@@ -269,6 +272,41 @@ class TestClusterCommand:
                      "--out", str(tmp_path)])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--defense-interval", "nan"],
+        ["cluster", "--policy", "planned", "--plan-interval", "nan"],
+        ["cluster", "--plan-margin", "inf"],
+        ["cluster", "--attack", "thrash:nan"],
+        ["serve", "--sample-warmup", "nan"],
+    ])
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, argv):
+        assert main(argv + ["--duration", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, config, count", [
+        ("serve", ServiceConfig, 8), ("cluster", ClusterConfig, 25),
+    ])
+    def test_flags_bind_to_config_fields(self, command, config, count):
+        # A flag's dest is its config field and the field's default is
+        # its default.  The rest are not a field verbatim: a seed label,
+        # seeded draws, input files and output.
+        unbound = {"command", "seed", "faults", "attack", "attacks",
+                   "trace_file", "plan_train", "fleet_jobs", "out",
+                   "trace"}
+        names = {f.name for f in dataclasses.fields(config)}
+        flags = vars(build_parser().parse_args([command]))
+        bound = {
+            dest: default for dest, default in flags.items()
+            if dest not in unbound
+        }
+        assert set(bound) <= names and len(bound) == count
+        # Unsampled CLI reports record the CLI's period of 10.
+        assert bound.pop("sample_period") == 10
+        for dest, default in bound.items():
+            assert default == getattr(config, dest), dest
 
     def test_cluster_seed_cleared_after_run(self, tmp_path, capsys):
         from repro import seeding

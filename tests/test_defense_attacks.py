@@ -9,7 +9,6 @@ from repro.defense import (
     DEFAULT_ATTACK_RATE,
     AttackSpec,
     attack_classes,
-    attack_from_dict,
     seeded_attacks,
     validate_attacks,
 )
@@ -41,36 +40,36 @@ class TestSerialization:
             profile="saturate", start_s=1.5, stop_s=4.0,
             rate_per_s=12.0,
         )
-        assert attack_from_dict(spec.to_dict()) == spec
+        assert AttackSpec.from_dict(spec.to_dict()) == spec
 
     def test_round_trip_open_ended(self):
         spec = AttackSpec(profile="thrash", start_s=0.0)
         assert spec.stop_s is None
-        assert attack_from_dict(spec.to_dict()) == spec
+        assert AttackSpec.from_dict(spec.to_dict()) == spec
 
     def test_rejects_unversioned_payload(self):
         payload = AttackSpec(profile="thrash").to_dict()
         del payload["schema_version"]
         with pytest.raises(DefenseError, match="schema_version"):
-            attack_from_dict(payload)
+            AttackSpec.from_dict(payload)
 
     def test_rejects_newer_schema(self):
         payload = AttackSpec(profile="thrash").to_dict()
         payload["schema_version"] = ATTACK_SCHEMA_VERSION + 1
         with pytest.raises(DefenseError, match="newer"):
-            attack_from_dict(payload)
+            AttackSpec.from_dict(payload)
 
     def test_rejects_invalid_schema(self):
         payload = AttackSpec(profile="thrash").to_dict()
         payload["schema_version"] = "one"
         with pytest.raises(DefenseError, match="invalid"):
-            attack_from_dict(payload)
+            AttackSpec.from_dict(payload)
 
     def test_rejects_missing_key(self):
         payload = AttackSpec(profile="thrash").to_dict()
         del payload["rate_per_s"]
         with pytest.raises(DefenseError, match="missing"):
-            attack_from_dict(payload)
+            AttackSpec.from_dict(payload)
 
 
 class TestCanonicalisation:

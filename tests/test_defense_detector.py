@@ -12,7 +12,6 @@ from repro.defense import (
     attack_classes,
     detector_from_dict,
 )
-from repro.defense.detector import config_from_dict
 from repro.errors import DefenseError
 from repro.schema import load_report
 
@@ -71,13 +70,13 @@ class TestConfigValidation:
             release_windows=4, bandwidth_share=0.4,
             occupancy_share=0.9, duty_threshold=1.5,
         )
-        assert config_from_dict(config.to_dict()) == config
+        assert DefenseConfig.from_dict(config.to_dict()) == config
 
     def test_round_trip_rejects_missing_key(self):
         payload = DefenseConfig().to_dict()
         del payload["duty_threshold"]
         with pytest.raises(DefenseError, match="missing"):
-            config_from_dict(payload)
+            DefenseConfig.from_dict(payload)
 
 
 class TestWindowVerdicts:

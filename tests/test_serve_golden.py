@@ -12,7 +12,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, seeded_faults
 from repro.defense import AttackSpec
-from repro.errors import ServeError
+from repro.errors import ClusterError, ServeError
 from repro.schema import load_report
 from repro.serve import QueryService, ServiceConfig, load_trace
 
@@ -106,11 +106,11 @@ GOLDEN = {
     "replay":
         "1e1fc7d733dd7ea1db407da9b7ecc01460ccea856ea05b1a2d0988aa83b90251",
     "affinity-faults":
-        "e0d48c435562d4fd38cda3fda7a7e39e3312e0738f8c8ec2b2d86e5668b54186",
+        "70493449b71587edc71117d7c019a6c62106f510a17b61a68523fa13cebf8b53",
     "hash-faults-jobs1":
-        "ed6635bc9e274848e2111045250322b7232600eceb75e86733bf8452bd244160",
+        "2f0fa08ad08bb2999feef071a78742a966006cb141b9d4dc9c8f33179d2d1d7d",
     "hash-faults-jobs4":
-        "ed6635bc9e274848e2111045250322b7232600eceb75e86733bf8452bd244160",
+        "2f0fa08ad08bb2999feef071a78742a966006cb141b9d4dc9c8f33179d2d1d7d",
     "planned-beam":
         "5143b390fd9665fd04feaea257d46ac1f2bdd1ac7853edf920fab7fc74b1575d",
     "planned-enum":
@@ -122,7 +122,7 @@ GOLDEN = {
     "sampled-attack":
         "7e9710961072e2ad6c0a43e0464bc26af4063f401037dd830c68bf7827071c43",
     "least-loaded-faults":
-        "4aae8d340631f76050e38c6c3f9d474e176669dc5b04d1930ed9ef883051924d",
+        "c22ae6a97f173167c1529c5313ef35334d56d12b1509bde154fbd6d5a3cd4423",
 }
 
 
@@ -174,23 +174,37 @@ def test_replay_golden(tmp_path):
     assert _digest(replayed) == GOLDEN["replay"]
 
 
-@pytest.mark.parametrize("case", SERVICE_CASES)
+@functools.cache
+def _fleet_run(case: str):
+    overrides, fleet_jobs = FLEET_CASES[case]
+    return Cluster(ClusterConfig(**{**FLEET_BASE, **overrides})).run(
+        fleet_jobs=fleet_jobs
+    )
+
+
+@pytest.mark.parametrize("case", [*SERVICE_CASES, *FLEET_CASES])
 def test_report_reruns_itself(case, tmp_path):
     # Determinism from the report alone: rebuild the config from the
-    # written report's config block, run it again, compare the bytes.
-    report = _service_run(case)[1]
-    payload = load_report(report.write(tmp_path / "run.json"), ServeError)
-    rerun = QueryService(ServiceConfig.from_dict(payload["config"])).run()
+    # written report's config block, run it again (a fleet at its
+    # case's fleet_jobs), compare the bytes.
+    if case in SERVICE_CASES:
+        report = _service_run(case)[1]
+        payload = load_report(report.write(tmp_path / "run.json"), ServeError)
+        rerun = QueryService(ServiceConfig.from_dict(payload["config"])).run()
+    else:
+        report = _fleet_run(case)
+        payload = load_report(
+            report.write(tmp_path / "run.json"), ClusterError
+        )
+        rerun = Cluster(ClusterConfig.from_dict(payload["config"])).run(
+            fleet_jobs=FLEET_CASES[case][1]
+        )
     assert rerun.to_json() == report.to_json()
 
 
 @pytest.mark.parametrize("case", FLEET_CASES)
 def test_fleet_golden(case):
-    overrides, fleet_jobs = FLEET_CASES[case]
-    report = Cluster(ClusterConfig(**{**FLEET_BASE, **overrides})).run(
-        fleet_jobs=fleet_jobs
-    )
-    assert _digest(report) == GOLDEN[case]
+    assert _digest(_fleet_run(case)) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", SERVICE_CASES)
