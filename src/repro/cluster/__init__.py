@@ -7,14 +7,7 @@ routing layer (consistent hashing, least-loaded, or cache-affinity
 placement), with seeded fault injection and fleet-wide SLO reporting.
 """
 
-from .epoch import (
-    Epoch,
-    FleetPlan,
-    epoch_index_for,
-    plan_fleet,
-    simulate_node_task,
-    split_epochs,
-)
+from .epoch import Epoch, split_epochs
 from .faults import (
     FaultEvent,
     FaultSpec,
@@ -66,7 +59,6 @@ __all__ = [
     "FLEET_REPORT_VERSION",
     "FaultEvent",
     "FaultSpec",
-    "FleetPlan",
     "HashRing",
     "HashRouter",
     "LeastLoadedRouter",
@@ -77,12 +69,9 @@ __all__ = [
     "cluster_classes",
     "cluster_olap_mix",
     "cluster_oltp_mix",
-    "epoch_index_for",
     "expand_schedule",
     "make_router",
-    "plan_fleet",
     "seeded_faults",
-    "simulate_node_task",
     "split_epochs",
     "tenant_id",
     "validate_schedule",

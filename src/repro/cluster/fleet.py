@@ -38,17 +38,22 @@ Ties break by (time, lane, index) — pure integers, no hash order — so
 one seed produces one event interleaving and therefore one
 byte-identical fleet report, regardless of ``fleet_jobs``.
 
+**One delivery point.**  Every effect that reaches a node passes
+``Cluster._deliver``: an accepted arrival (lanes 2-4) and a kill or
+recovery (lane 0, a planned node's blueprint scheme included).  On the
+sequential path it applies the effect at once.
+
 **Epoch-parallel execution.**  Under the ``hash`` router (and the
 ``planned`` router while an idle planner keeps its placement frozen) a
 routing decision reads only the tenant key and the alive set — never
-node state — so each node's event stream is a pure function of
-(cluster seed, node index, fault schedule).  ``run(fleet_jobs=N)``
-then skips the merged heap entirely: :mod:`repro.cluster.epoch`
-splits the timeline into epochs at fault boundaries, pre-routes every
-arrival in a vectorized batch, fans the per-node simulations out
-through ``repro.parallel`` workers, and this module splices the
-results back into the same canonical report — byte-identical to the
-sequential loop (the equivalence suite in
+node state — so each node's event stream is a pure function of the
+inputs delivered to it.  ``run(fleet_jobs=N)`` then runs the same lane
+loop with the nodes idle, and the delivery point appends each effect to
+the node's inbox instead; fleet counters, arrival windows and metrics
+are counted by the same code either way.  ``repro.parallel`` workers
+replay the inboxes (:mod:`repro.cluster.epoch`) and hand back whole
+nodes, which replace the idle ones — the report is byte-identical to
+the sequential loop (the equivalence suite in
 ``tests/test_cluster_parallel.py`` pins it).
 One rule (``Cluster._sequential_reason``) keeps a fleet on the
 sequential loop, first blocker first: a defended fleet, a planner that
@@ -130,16 +135,12 @@ from ..serve.arrivals import (
     SampleGrid,
     WorkloadMix,
     build_arrivals,
+    mix_schedule,
     next_sampled_arrival,
 )
 from ..serve.service import POLICIES, ServiceConfig
 from ..serve.slo import SloTarget, SloTracker
-from .epoch import (
-    PLANNABLE_ROUTERS,
-    plan_fleet,
-    simulate_node_task,
-    split_epochs,
-)
+from .epoch import PLANNABLE_ROUTERS, replay_node_task, split_epochs
 from .faults import FaultSpec, expand_schedule, validate_schedule
 from .node import ClusterNode
 from .ring import DEFAULT_VIRTUAL_NODES
@@ -501,22 +502,6 @@ class Cluster:
             virtual_nodes=config.virtual_nodes,
         )
         workers = self.spec.cores
-        if config.mix == "oltp":
-            self._mix_schedule = (
-                (0.0, cluster_oltp_mix(workers, calibration)),
-            )
-        elif config.mix == "shift":
-            shift_at = config.shift_at_s
-            if shift_at is None:
-                shift_at = config.duration_s / 2.0
-            self._mix_schedule = (
-                (0.0, cluster_olap_mix(workers, calibration)),
-                (shift_at, cluster_oltp_mix(workers, calibration)),
-            )
-        else:
-            self._mix_schedule = (
-                (0.0, cluster_olap_mix(workers, calibration)),
-            )
         self.nodes: list[ClusterNode] = []
         shared_cuids: dict = {}
         shared_reports: dict = {}
@@ -538,12 +523,16 @@ class Cluster:
                 )
             self.nodes.append(node)
         grid = config.sample_grid()
+        schedule = mix_schedule(
+            config, cluster_olap_mix, cluster_oltp_mix, workers,
+            calibration,
+        )
         self._sources = [
             _Source(
                 process=build_arrivals(
                     config.profile,
                     config.rate_per_s,
-                    self._mix_schedule,
+                    schedule,
                     seed=seeding.derive_from(
                         config.seed, f"node/{index}"
                     ),
@@ -564,6 +553,9 @@ class Cluster:
         self._alive = set(range(config.nodes))
         self._alive_frozen = frozenset(self._alive)
         self._warnings: list[str] = []
+        #: Per-node inputs on the epoch-parallel path (None: the
+        #: delivery point applies each input at once).
+        self._inboxes: list[list[tuple]] | None = None
         # Merged event heap: (time, lane, index, version) entries with
         # per-(lane, index) versions for lazy invalidation.
         self._frontier: list[tuple[float, int, int, int]] = []
@@ -640,7 +632,8 @@ class Cluster:
         self._sacrificial_node = config.nodes - 1
         attack_catalog = (
             attack_classes(workers, calibration, self.spec)
-            if self._attacks else {}
+            if self._attacks or self._defense_config.mode != "off"
+            else {}
         )
         for index, attack in enumerate(self._attacks):
             cls = attack_catalog[attack.profile]
@@ -673,9 +666,7 @@ class Cluster:
                     workers, calibration
                 ).values()
             }
-            for cls in attack_classes(
-                workers, calibration, self.spec
-            ).values():
+            for cls in attack_catalog.values():
                 detector_classes[cls.name] = cls
             groups: dict[str, list[str]] = {}
             for name, cls in detector_classes.items():
@@ -781,24 +772,43 @@ class Cluster:
         event = self._fault_events[self._fault_index]
         self._fault_index += 1
         self._refresh_lane(0, 0)
-        self._refresh_lane(1, event.node)
-        node = self.nodes[event.node]
         if event.recover:
-            node.recover(event.time_s)
+            policy = None
             if self.planner is not None:
                 # A restarted planned node re-applies its *blueprint*
-                # scheme, not the static boot default recover() set.
+                # scheme, not the static boot default.
                 scheme = self.planner.current.schemes[event.node]
-                node.cache_controller.enable(
-                    BLUEPRINT_SCHEMES[scheme].to_cuid_policy(self.spec)
+                policy = BLUEPRINT_SCHEMES[scheme].to_cuid_policy(
+                    self.spec
                 )
+            self._deliver(
+                event.node, event.time_s, 0, "recover", event.time_s,
+                policy,
+            )
             self._alive.add(event.node)
         else:
-            lost = node.fail(event.time_s)
+            self._deliver(
+                event.node, event.time_s, 0, "fail", event.time_s
+            )
             self._alive.discard(event.node)
-            if lost:
-                runtime.metrics.counter("cluster.shed").inc(lost)
         self._alive_frozen = frozenset(self._alive)
+
+    def _deliver(
+        self, index: int, time_s: float, lane: int, method: str, *args
+    ) -> None:
+        """The one point where an effect reaches node ``index``.
+
+        ``method`` names the node call (``accept``, ``fail`` or
+        ``recover``) and ``args`` its arguments.  Sequentially the call
+        runs now and the node's lane is re-staged; on the
+        epoch-parallel path the input joins the node's inbox, which a
+        worker replays (:func:`repro.cluster.epoch.replay_inbox`).
+        """
+        if self._inboxes is not None:
+            self._inboxes[index].append((time_s, lane, method, args))
+            return
+        getattr(self.nodes[index], method)(*args)
+        self._refresh_lane(1, index)
 
     def _process_node_event(self, index: int) -> None:
         node = self.nodes[index]
@@ -807,6 +817,7 @@ class Cluster:
 
     def _route_and_accept(
         self,
+        lane: int,
         timestamp: float,
         index: int,
         cls,
@@ -846,8 +857,10 @@ class Cluster:
                 target.forwarded_in += 1
             if decision.failover:
                 target.failover_in += 1
-            target.accept(timestamp, cls, arrived_s=arrived_s)
-            self._refresh_lane(1, decision.target)
+            self._deliver(
+                decision.target, timestamp, lane, "accept", timestamp,
+                cls, arrived_s,
+            )
 
     def _take(self, stream: _Source) -> tuple:
         """Count ``stream``'s pending arrival as offered (fleet and
@@ -881,7 +894,7 @@ class Cluster:
         else:
             if until is not None:
                 del self._blackout[key]
-            self._route_and_accept(timestamp, index, cls, key)
+            self._route_and_accept(2, timestamp, index, cls, key)
         source.pull(timestamp)
         self._refresh_lane(2, index)
 
@@ -930,7 +943,7 @@ class Cluster:
         )
         self._refresh_lane(3, 1)
         self._route_and_accept(
-            inject_at, index, cls, key, arrived_s=original_s
+            3, inject_at, index, cls, key, arrived_s=original_s
         )
 
     # -- defense -------------------------------------------------------
@@ -948,7 +961,7 @@ class Cluster:
         timestamp, cls = self._take(stream)
         runtime.metrics.counter("defense.attack.arrivals").inc()
         self._route_and_accept(
-            timestamp, index % self.config.nodes, cls, stream.key
+            4, timestamp, index % self.config.nodes, cls, stream.key
         )
         stream.pull(timestamp)
         self._refresh_lane(4, index)
@@ -1072,15 +1085,14 @@ class Cluster:
     def run(self, fleet_jobs: int = 1) -> ClusterReport:
         """Run to completion (sources stop at the horizon, then drain).
 
-        ``fleet_jobs > 1`` runs the node simulations on worker
-        processes when routing is epoch-plannable: the stateless
-        ``hash`` router, or a ``planned`` fleet whose planner lane
-        never fires (first tick at or beyond the run end — the boot
-        placement stays frozen).  The report is byte-identical to the
-        sequential loop for any value.  Defended fleets, active
-        planners and stateful routers run the sequential loop and
-        record why (:meth:`_sequential_reason`) in the report's
-        ``execution`` block.
+        ``fleet_jobs > 1`` replays the nodes on worker processes when
+        routing is epoch-plannable: the stateless ``hash`` router, or a
+        ``planned`` fleet whose planner lane never fires (first tick at
+        or beyond the run end — the boot placement stays frozen).  The
+        report is byte-identical to the sequential loop for any value.
+        Defended fleets, active planners and stateful routers run the
+        sequential loop and record why (:meth:`_sequential_reason`) in
+        the report's ``execution`` block.
         """
         if self._ran:
             raise ClusterError("a Cluster instance runs exactly once")
@@ -1098,50 +1110,7 @@ class Cluster:
                 runtime.metrics.counter(
                     "cluster.parallel.fallbacks"
                 ).inc()
-        elif jobs > 1:
-            return self._run_parallel(jobs)
-        with runtime.tracer.span(
-            "cluster.run",
-            nodes=config.nodes,
-            router=config.router,
-            policy=config.policy,
-        ):
-            runtime.metrics.counter("cluster.epoch.count").inc(
-                len(self._epochs)
-            )
-            for source in self._sources:
-                source.pull(0.0)
-            for attack, stream in zip(self._attacks, self._attack_streams):
-                stream.pull(attack.start_s)
-            for node in self.nodes:
-                node.schedule_first_control()
-            # Seed the merged heap with every lane's first candidate.
-            for lane, (_, _, indices) in enumerate(self._lanes):
-                for index in indices:
-                    self._refresh_lane(lane, index)
-            # Bound locals: the loop body runs once per fleet event.
-            pop_candidate = self._pop_candidate
-            fires = tuple(fire for _, fire, _ in self._lanes)
-            while (candidate := pop_candidate()) is not None:
-                _, lane, index = candidate
-                fires[lane](index)
-        return self._assemble_report(
-            tuple(node.report() for node in self.nodes)
-        )
-
-    def _run_parallel(self, jobs: int) -> ClusterReport:
-        """The epoch-parallel path: plan, fan out, splice (hash, or
-        planned with an idle planner lane).
-
-        Workers are pre-warmed with the parent's solve memo and their
-        additions merge back after every wave, so later waves never
-        re-solve a composition an earlier wave already paid for — the
-        cross-node sharing the sequential loop gets for free.  Sharing
-        changes cost, never results: a node still counts its own
-        ``rate_solves`` on a local cache miss.
-        """
-        config = self.config
-        metrics = runtime.metrics
+            jobs = 1
         with runtime.tracer.span(
             "cluster.run",
             nodes=config.nodes,
@@ -1149,121 +1118,93 @@ class Cluster:
             policy=config.policy,
             fleet_jobs=jobs,
         ):
-            metrics.counter("cluster.epoch.count").inc(
+            runtime.metrics.counter("cluster.epoch.count").inc(
                 len(self._epochs)
             )
-            with runtime.tracer.span("cluster.plan"):
-                plan = plan_fleet(
-                    config, self._sources, self._fault_events,
-                    self.router,
-                )
-            metrics.counter("cluster.routed").inc(plan.generated)
-            metrics.counter("cluster.failover").inc(plan.failovers)
-            metrics.counter("cluster.shed").inc(plan.shed_no_node)
-            metrics.counter("cluster.parallel.tasks").inc(
-                config.nodes
-            )
-            observe = (
-                runtime.tracer.enabled or runtime.metrics.enabled
-            )
-            run_seed = seeding.get_seed()
-            results: list = [None] * config.nodes
-            # Inherit the ambient caching configuration (including a
-            # configured simcache disk layer) so worker-side solves
-            # share whatever storage the caller set up.
-            ambient = parallel_executor.current()
-            with parallel_executor.parallel_context(
-                jobs=jobs,
-                cache_enabled=ambient.cache_enabled,
-                disk_dir=ambient.disk_dir,
-                capacity=ambient.capacity,
-            ) as context:
-                pool = context.pool()
-                for start in range(0, config.nodes, jobs):
-                    indices = range(
-                        start, min(start + jobs, config.nodes)
-                    )
-                    # Snapshot once per wave: every worker in the wave
-                    # starts from the same pre-warmed memo.
-                    memo = dict(self.solve_memo)
-                    futures = {
-                        index: pool.submit(simulate_node_task, {
-                            "index": index,
-                            "config": config,
-                            "spec": self.spec,
-                            "calibration": self.calibration,
-                            "arrivals": plan.node_arrivals[index],
-                            "faults": plan.node_faults[index],
-                            "memo": memo,
-                            "run_seed": run_seed,
-                            "observe": observe,
-                            "cache_enabled": ambient.cache_enabled,
-                            "disk_dir": (
-                                None if ambient.disk_dir is None
-                                else str(ambient.disk_dir)
-                            ),
-                            "capacity": ambient.capacity,
-                        })
-                        for index in indices
-                    }
-                    for index in indices:
-                        payload = futures[index].result()
-                        results[index] = payload
-                        additions = payload["memo_additions"]
-                        self.solve_memo.update(additions)
-                        metrics.counter(
-                            "cluster.parallel.memo_merged"
-                        ).inc(len(additions))
-                    metrics.counter("cluster.parallel.waves").inc()
-            self._splice(plan, results)
+            if jobs > 1:
+                self._inboxes = [[] for _ in self.nodes]
+                with runtime.tracer.span("cluster.plan"):
+                    self._run_lanes()
+                self._replay_nodes(jobs)
+            else:
+                for node in self.nodes:
+                    node.schedule_first_control()
+                self._run_lanes()
         return self._assemble_report(
-            tuple(payload["report"] for payload in results)
+            tuple(node.report() for node in self.nodes)
         )
 
-    def _splice(self, plan, results: list[dict]) -> None:
-        """Fold worker payloads back into the parent's fleet state.
+    def _run_lanes(self) -> None:
+        """The merged-heap loop over every lane, until all are idle."""
+        for source in self._sources:
+            source.pull(0.0)
+        for attack, stream in zip(self._attacks, self._attack_streams):
+            stream.pull(attack.start_s)
+        # Seed the merged heap with every lane's first candidate.
+        for lane, (_, _, indices) in enumerate(self._lanes):
+            for index in indices:
+                self._refresh_lane(lane, index)
+        # Bound locals: the loop body runs once per fleet event.
+        pop_candidate = self._pop_candidate
+        fires = tuple(fire for _, fire, _ in self._lanes)
+        while (candidate := pop_candidate()) is not None:
+            _, lane, index = candidate
+            fires[lane](index)
 
-        After this the parent nodes carry the same counters, caches,
-        SLO trackers and liveness state a sequential run would have
-        left on them — the report assembly and post-run introspection
-        are path-independent.
+    def _replay_nodes(self, jobs: int) -> None:
+        """Replay every node's inbox on workers and adopt the nodes
+        they hand back, ``jobs`` nodes per wave.
+
+        Each wave's nodes leave with a snapshot of the fleet's solve
+        memo, and their additions merge back after the wave, so later
+        waves never re-solve a composition an earlier wave already paid
+        for — the cross-node sharing the sequential loop gets for free.
+        Sharing changes cost, never results: a node still counts its
+        own ``rate_solves`` on a local cache miss.
         """
+        nodes = self.config.nodes
         metrics = runtime.metrics
-        tracer = runtime.tracer
-        for payload in results:
-            if payload["spans"] is not None:
-                tracer.merge_span_dict(payload["spans"])
-            if payload["metrics"] is not None and metrics.enabled:
-                metrics.merge(payload["metrics"])
-        self.generated = plan.generated
-        self.forwarded = plan.forwarded
-        self.failovers = plan.failovers
-        self.shed_no_node = plan.shed_no_node
-        self._windows = plan.windows
-        self._fault_index = len(self._fault_events)
-        self._alive = set(plan.epochs[-1].alive)
-        self._alive_frozen = frozenset(self._alive)
-        total_lost = sum(sum(payload["fault_lost"]) for payload in results)
-        if total_lost:
-            metrics.counter("cluster.shed").inc(total_lost)
-        for index, (node, payload) in enumerate(
-            zip(self.nodes, results)
-        ):
-            node.routed_in = plan.routed_in[index]
-            node.forwarded_in = plan.forwarded_in[index]
-            node.failover_in = plan.failover_in[index]
-            node.alive = payload["alive"]
-            node._failed_at = payload["failed_at"]
-            node.downtime_s = payload["downtime_s"]
-            node.kills = payload["kills"]
-            node.failure_shed = payload["failure_shed"]
-            node.admission.shed = payload["shed_admission"]
-            node.clock.advance_to(payload["clock_now"])
-            node.slo = payload["slo"]
-            node.rate_solves = payload["rate_solves"]
-            node.rate_cache_hits = payload["rate_cache_hits"]
-            node.rate_cache.load(payload["rate_cache_entries"])
-            node.rate_cache.evictions = payload["rate_cache_evictions"]
+        metrics.counter("cluster.parallel.tasks").inc(nodes)
+        observe = runtime.tracer.enabled or metrics.enabled
+        run_seed = seeding.get_seed()
+        # Inherit the ambient caching configuration (including a
+        # configured simcache disk layer) so worker-side solves share
+        # whatever storage the caller set up.
+        ambient = parallel_executor.current()
+        context_settings = {
+            "cache_enabled": ambient.cache_enabled,
+            "disk_dir": ambient.disk_dir,
+            "capacity": ambient.capacity,
+        }
+        with parallel_executor.parallel_context(
+            jobs=jobs, **context_settings
+        ) as context:
+            pool = context.pool()
+            for start in range(0, nodes, jobs):
+                wave = range(start, min(start + jobs, nodes))
+                memo = dict(self.solve_memo)
+                futures = []
+                for index in wave:
+                    self.nodes[index].solve_memo = memo
+                    futures.append(pool.submit(replay_node_task, {
+                        "node": self.nodes[index],
+                        "inbox": self._inboxes[index],
+                        "run_seed": run_seed,
+                        "observe": observe,
+                        "context": context_settings,
+                    }))
+                for index, future in zip(wave, futures):
+                    payload = future.result()
+                    runtime.merge_worker(payload)
+                    node = payload["node"]
+                    node.solve_memo = self.solve_memo
+                    self.nodes[index] = node
+                    additions = payload["memo_additions"]
+                    self.solve_memo.update(additions)
+                    metrics.counter(
+                        "cluster.parallel.memo_merged"
+                    ).inc(len(additions))
+                metrics.counter("cluster.parallel.waves").inc()
 
     def _execution_block(self) -> dict:
         """The report's ``execution`` entry (path-independent)."""

@@ -2,30 +2,29 @@
 
 A :class:`ClusterNode` **is** a :class:`~repro.serve.service.QueryService`
 — same admission, same processor-sharing rate model, same adaptive CAT
-controller — with three cluster-specific differences:
+controller — with two cluster-specific differences:
 
 * **no private arrival process** — the fleet owns the per-node seeded
   source streams and injects traffic through
   :meth:`~repro.serve.service.QueryService.accept` after routing, so a
   node's event sequence numbers never depend on how many peers exist,
-* **cluster workload mixes** — the three-tenant-group catalog from
-  :mod:`repro.cluster.workload` replaces the single-node mixes,
 * **liveness** — :meth:`fail` models a crash (in-flight and queued work
   lost, CAT state reset to the unpartitioned baseline on the replacement
-  process) and :meth:`recover` brings the node back; the fleet counts
-  the lost requests as ``failure shed``.
+  process) and :meth:`recover` brings the node back; the lost requests
+  count as ``failure shed`` (and in the ``cluster.shed`` metric).
 """
 
 from __future__ import annotations
 
 from ..config import SystemSpec
 from ..core.policy import paper_scheme
+from ..engine.cache_control import CuidPolicy
 from ..errors import ClusterError
 from ..model.calibration import DEFAULT_CALIBRATION, Calibration
+from ..obs import runtime
 from ..serve.admission import AdmissionDecision
 from ..serve.arrivals import RequestClass
 from ..serve.service import QueryService, ServiceConfig, ServiceReport
-from .workload import cluster_olap_mix, cluster_oltp_mix
 
 
 class _NoArrivals:
@@ -71,22 +70,6 @@ class ClusterNode(QueryService):
         self.downtime_s = 0.0
         self._failed_at: float | None = None
 
-    # -- workload ------------------------------------------------------
-
-    def _build_mix_schedule(self):
-        workers = self.spec.cores
-        if self.config.mix == "oltp":
-            return ((0.0, cluster_oltp_mix(workers, self.calibration)),)
-        if self.config.mix == "shift":
-            shift_at = self.config.shift_at_s
-            if shift_at is None:
-                shift_at = self.config.duration_s / 2.0
-            return (
-                (0.0, cluster_olap_mix(workers, self.calibration)),
-                (shift_at, cluster_oltp_mix(workers, self.calibration)),
-            )
-        return ((0.0, cluster_olap_mix(workers, self.calibration)),)
-
     # -- traffic -------------------------------------------------------
 
     def accept(
@@ -104,9 +87,9 @@ class ClusterNode(QueryService):
 
     # -- liveness ------------------------------------------------------
 
-    def fail(self, now: float) -> int:
-        """Crash the node at ``now``; returns the number of requests
-        lost (in service + queued).
+    def fail(self, now: float) -> None:
+        """Crash the node at ``now``, losing every request in service
+        or queued (counted as ``failure_shed``).
 
         In-flight work progresses at the pre-crash rates up to the
         crash instant and is then discarded; the epoch bump strands
@@ -131,26 +114,34 @@ class ClusterNode(QueryService):
         if self.controller is not None:
             self.controller._installed_masks = None
         lost = len(running) + len(queued)
+        if lost:
+            runtime.metrics.counter("cluster.shed").inc(lost)
         self.failure_shed += lost
         self.kills += 1
         self.alive = False
         self._failed_at = now
-        return lost
 
-    def recover(self, now: float) -> None:
-        """Bring the node back into the routable set at ``now``."""
+    def recover(
+        self, now: float, policy: CuidPolicy | None = None
+    ) -> None:
+        """Bring the node back into the routable set at ``now``.
+
+        ``policy`` is the CAT scheme the restarted process programs
+        (a planned fleet passes its blueprint's); None keeps the
+        node's own boot default.
+        """
         if self.alive:
             raise ClusterError(f"node {self.index} is already up")
         assert self._failed_at is not None
         self.downtime_s += now - self._failed_at
         self._failed_at = None
         self.alive = True
-        if self.config.policy == "static":
+        if policy is None and self.config.policy == "static":
             # A restarted process re-applies its static CAT scheme at
             # boot; adaptive nodes re-derive it on their next tick.
-            self.cache_controller.enable(
-                paper_scheme().to_cuid_policy(self.spec)
-            )
+            policy = paper_scheme().to_cuid_policy(self.spec)
+        if policy is not None:
+            self.cache_controller.enable(policy)
 
     def close_downtime(self, end_s: float) -> None:
         """Fold an outage still open at the horizon into downtime."""

@@ -51,6 +51,7 @@ from ..schema import (
     check_version,
     config_from_dict,
     config_to_dict,
+    load_value,
 )
 from ..serve.arrivals import RequestClass
 from ..serve.controller import classify_cached
@@ -355,25 +356,32 @@ def detector_from_dict(
 
     Cached signals restore verbatim (they are pure model probes, so
     the serialized values equal what a fresh probe would compute);
-    ``to_dict`` of the result is byte-identical to the input.
+    ``to_dict`` of the result is byte-identical to the input.  Scalar
+    state and the streak maps load under the config type rule
+    (:func:`repro.schema.load_value`): a mistyped value raises
+    :class:`DefenseError` naming its key.
     """
     check_version(
         payload, "schema_version", DETECTOR_SCHEMA_VERSION, DefenseError
     )
+
+    def read(key: str, hint):
+        return load_value(hint, payload[key], f"detector {key}", DefenseError)
+
     try:
         detector = ContentionDetector(
             spec=spec if spec is not None else SystemSpec(),
             config=DefenseConfig.from_dict(payload["config"]),
             classes=classes if classes is not None else {},
-            nodes=int(payload["nodes"]),
-            window_s=float(payload["window_s"]),
+            nodes=read("nodes", int),
+            window_s=read("window_s", float),
             calibration=calibration,
             shared_cuids=shared_cuids,
         )
-        detector._next_window = int(payload["next_window"])
-        detector._convicted = set(payload["convicted"])
-        detector._suspect_streak = dict(payload["suspect_streaks"])
-        detector._clean_streak = dict(payload["clean_streaks"])
+        detector._next_window = read("next_window", int)
+        detector._convicted = set(read("convicted", tuple[str, ...]))
+        detector._suspect_streak = read("suspect_streaks", dict[str, int])
+        detector._clean_streak = read("clean_streaks", dict[str, int])
         detector._signals = {
             name: dict(signal)
             for name, signal in payload["signals"].items()

@@ -68,3 +68,16 @@ def observing(
         yield installed_tracer, installed_metrics
     finally:
         tracer, metrics = previous
+
+
+def merge_worker(payload: dict) -> None:
+    """Fold a worker's observability into the current observers.
+
+    ``payload["spans"]`` is a ``Tracer.to_dict()`` and
+    ``payload["metrics"]`` a ``MetricsRegistry.snapshot()`` from a
+    worker process; either may be None (the worker ran unobserved).
+    """
+    if metrics.enabled and payload["metrics"] is not None:
+        metrics.merge(MetricsRegistry.from_snapshot(payload["metrics"]))
+    if tracer.enabled and payload["spans"] is not None:
+        tracer.merge_span_dict(payload["spans"])

@@ -45,7 +45,6 @@ from ..config import SystemSpec
 from ..model.calibration import Calibration
 from ..model.simulator import QueryResult, QuerySpec, WorkloadSimulator
 from ..obs import runtime
-from ..obs.metrics import MetricsRegistry
 from ..obs.runtime import observing
 
 #: Version of the key/payload schema.  Bump whenever the key payload,
@@ -225,16 +224,6 @@ def solve_request(request: SimulationRequest) -> dict:
     }
 
 
-def _merge_worker_observability(payload: dict) -> None:
-    """Fold a worker's spans/metrics into the current observers."""
-    if runtime.metrics.enabled:
-        runtime.metrics.merge(
-            MetricsRegistry.from_snapshot(payload["metrics"])
-        )
-    if runtime.tracer.enabled:
-        runtime.tracer.merge_span_dict(payload["spans"])
-
-
 def evaluate(
     requests: list[SimulationRequest],
     cache: SimulationCache | None = None,
@@ -260,7 +249,7 @@ def evaluate(
             return [request.solve() for request in requests]
         payloads = list(pool.map(solve_request, requests))
         for payload in payloads:
-            _merge_worker_observability(payload)
+            runtime.merge_worker(payload)
         return [decode_results(p["results"]) for p in payloads]
 
     keys = [request.key() for request in requests]
@@ -289,7 +278,7 @@ def evaluate(
             ]
             for (key, _), future in zip(pending, futures):
                 payload = future.result()
-                _merge_worker_observability(payload)
+                runtime.merge_worker(payload)
                 resolved[key] = payload["results"]
                 cache.put(key, resolved[key])
         else:

@@ -182,7 +182,7 @@ def config_from_dict(cls, payload: dict, error: type[Exception]):
         )
     hints = typing.get_type_hints(cls)
     return cls(**{
-        name: _load(hints[name], payload[name], f"{what}.{name}", error)
+        name: load_value(hints[name], payload[name], f"{what}.{name}", error)
         for name in names
     })
 
@@ -191,8 +191,14 @@ def config_from_dict(cls, payload: dict, error: type[Exception]):
 _SCALARS = {str: (str,), int: (int,), float: (int, float)}
 
 
-def _load(hint, value, where: str, error: type[Exception]):
-    """``value`` checked against the type ``hint``, specs rebuilt."""
+def load_value(hint, value, where: str, error: type[Exception]):
+    """``value`` checked against the type ``hint``, specs rebuilt.
+
+    The JSON type rule of :func:`config_from_dict`, for one value: an
+    int counts as a float, a bool as nothing, a tuple is a list, a
+    ``dict[K, V]`` is an object; nothing is coerced.  A mismatch raises
+    ``error`` naming ``where``.
+    """
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         if value is None and type(None) in typing.get_args(hint):
             return None
@@ -209,9 +215,18 @@ def _load(hint, value, where: str, error: type[Exception]):
         if not isinstance(value, list) or len(value) != len(kinds):
             raise error(f"{where} must be a list ({hint}): {value!r}")
         return tuple(
-            _load(kind, item, f"{where}[{i}]", error)
+            load_value(kind, item, f"{where}[{i}]", error)
             for i, (kind, item) in enumerate(zip(kinds, value))
         )
+    if typing.get_origin(hint) is dict:
+        key_kind, item_kind = typing.get_args(hint)
+        if not isinstance(value, dict):
+            raise error(f"{where} must be an object ({hint}): {value!r}")
+        return {
+            load_value(key_kind, key, f"{where} key", error):
+                load_value(item_kind, item, f"{where}[{key!r}]", error)
+            for key, item in value.items()
+        }
     if isinstance(value, bool) or not isinstance(value, _SCALARS[hint]):
         raise error(f"{where} must be {hint.__name__}: {value!r}")
     return value

@@ -67,6 +67,7 @@ from .arrivals import (
     RequestClass,
     SampleGrid,
     build_arrivals,
+    mix_schedule,
     next_sampled_arrival,
     olap_heavy_mix,
     oltp_heavy_mix,
@@ -139,20 +140,6 @@ class RateCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def export(self) -> tuple:
-        """Entries in recency order (oldest first), picklable.
-
-        The cross-process merge format: a worker exports its cache at
-        the end of a node simulation and the parent :meth:`load`\\ s it,
-        reproducing both contents and LRU order.
-        """
-        return tuple(self._entries.items())
-
-    def load(self, entries) -> None:
-        """Replay exported entries into this cache (recency order)."""
-        for key, value in entries:
-            self[key] = value
 
 
 @dataclass(frozen=True)
@@ -391,7 +378,6 @@ class QueryService:
                 SloTarget("oltp", p99_s=config.oltp_p99_s),
             )
         )
-        self._mix_schedule = self._build_mix_schedule()
         if arrivals is not None:
             # Injected process (trace replay, tests): duck-typed on
             # ``next_arrival(now) -> (timestamp, RequestClass)``.
@@ -405,7 +391,10 @@ class QueryService:
             self.arrivals = build_arrivals(
                 config.profile,
                 config.rate_per_s,
-                self._mix_schedule,
+                mix_schedule(
+                    config, olap_heavy_mix, oltp_heavy_mix,
+                    self.spec.cores, calibration,
+                ),
                 seed=config.seed,
             )
         self.clock = SimulatedClock()
@@ -421,22 +410,6 @@ class QueryService:
             range(config.max_concurrency - 1, -1, -1)
         )
         self._state = _RunningState()
-
-    # -- setup ---------------------------------------------------------
-
-    def _build_mix_schedule(self):
-        workers = self.spec.cores
-        if self.config.mix == "olap":
-            return ((0.0, olap_heavy_mix(workers, self.calibration)),)
-        if self.config.mix == "oltp":
-            return ((0.0, oltp_heavy_mix(workers, self.calibration)),)
-        shift_at = self.config.shift_at_s
-        if shift_at is None:
-            shift_at = self.config.duration_s / 2.0
-        return (
-            (0.0, olap_heavy_mix(workers, self.calibration)),
-            (shift_at, oltp_heavy_mix(workers, self.calibration)),
-        )
 
     # -- masks ---------------------------------------------------------
 

@@ -250,8 +250,8 @@ class TestClusterCommand:
         path = tmp_path / "cluster-hash-n2-seed7.json"
         first_bytes = path.read_bytes()
         # Byte-identical on a rerun, and for any --fleet-jobs value
-        # (the epoch-parallel path must splice back into exactly the
-        # sequential report).
+        # (the nodes the epoch-parallel path replays on workers must
+        # report exactly what the sequential loop's nodes report).
         assert main(argv) == 0
         capsys.readouterr()
         assert path.read_bytes() == first_bytes

@@ -9,6 +9,7 @@ report's ``execution`` block.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,10 +19,9 @@ from repro.cluster import (
     Cluster,
     ClusterConfig,
     FaultSpec,
-    epoch_index_for,
     expand_schedule,
-    plan_fleet,
     split_epochs,
+    tenant_id,
 )
 from repro.errors import ClusterError
 from repro.obs import observing
@@ -120,18 +120,6 @@ class TestEpochSplitting:
         assert len(epochs[2].events) == 2  # both recoveries
         assert epochs[2].alive == frozenset({0, 1, 2})
 
-    def test_boundary_arrival_lands_post_fault(self):
-        # The heap orders lane 0 (faults) before lane 2 (arrivals) at
-        # equal times, so an arrival exactly at a boundary belongs to
-        # the post-fault epoch.
-        events = expand_schedule((FaultSpec(0, 1.0, 2.0),))
-        epochs = split_epochs(events, nodes=2)
-        assert epoch_index_for(epochs, 0.999999) == 0
-        assert epoch_index_for(epochs, 1.0) == 1
-        assert epoch_index_for(epochs, 1.5) == 1
-        assert epoch_index_for(epochs, 2.0) == 2
-        assert epoch_index_for(epochs, 99.0) == 2
-
     def test_empty_schedule_is_one_epoch(self):
         epochs = split_epochs((), nodes=4)
         assert len(epochs) == 1
@@ -139,31 +127,98 @@ class TestEpochSplitting:
         assert epochs[0].alive == frozenset(range(4))
 
 
-class TestPlanConsistency:
-    def test_plan_counters_match_sequential_report(self):
-        config = _config(faults=FAULTS, rate_per_s=8.0)
-        planned = Cluster(config)
-        plan = plan_fleet(
-            config, planned._sources, planned._fault_events,
-            planned.router,
-        )
-        report = Cluster(config).run()
-        assert plan.generated == report.generated
-        assert plan.forwarded == report.forwarded
-        assert plan.failovers == report.failovers
-        assert plan.shed_no_node == report.shed_no_node
-        for index, stats in enumerate(report.node_stats):
-            assert plan.routed_in[index] == stats["routed_in"]
-            assert plan.sourced[index] == stats["sourced"]
+def _first_arrival(config: ClusterConfig, source: int):
+    """The exact instant of ``source``'s first arrival and the node the
+    ring routes it to on a healthy fleet."""
+    cluster = Cluster(config)
+    stream = cluster._sources[source]
+    stream.pull(0.0)
+    timestamp, cls = stream.pending
+    tenant = int(stream.tenant_rng.integers(config.tenants_per_group))
+    decision = cluster.router.route(
+        source, tenant_id(cls.tenant, tenant), cls, cluster.nodes,
+        frozenset(range(config.nodes)),
+    )
+    return timestamp, decision.target
 
-    def test_plan_rejects_stateful_router(self):
-        config = _config(router="least-loaded")
-        cluster = Cluster(config)
-        with pytest.raises(ClusterError):
-            plan_fleet(
-                config, cluster._sources, cluster._fault_events,
-                cluster.router,
+
+class TestBoundaryArrival:
+    def test_arrival_on_fault_instant_byte_identical(self):
+        # A kill at exactly an arrival's instant fires first (lane 0
+        # before lane 2), so that arrival fails over; one ulp later it
+        # still reaches its ring target.  Both must hold on every path.
+        base = _config(rate_per_s=8.0)
+        instant, target = _first_arrival(base, 0)
+        reports = {}
+        for kill_at in (instant, math.nextafter(instant, math.inf)):
+            config = _config(
+                rate_per_s=8.0,
+                faults=(FaultSpec(target, kill_at, kill_at + 1.0),),
             )
+            sequential = Cluster(config).run().to_json()
+            for jobs in (2, 4):
+                assert Cluster(config).run(fleet_jobs=jobs).to_json() == (
+                    sequential
+                )
+            reports[kill_at] = json.loads(sequential)
+        on_instant, after = reports.values()
+        assert on_instant["failovers"] == after["failovers"] + 1
+
+
+def _node_state(node) -> dict:
+    """What a sequential run leaves on a node, as comparable values."""
+    return {
+        "rate_cache": list(node.rate_cache._entries.items()),
+        "slo": {
+            tenant: node.slo.histogram(tenant).bucket_counts()
+            for tenant in node.slo.tenants()
+        },
+        "clock": node.clock.now,
+        "rate_solves": node.rate_solves,
+        "rate_cache_hits": node.rate_cache_hits,
+        "downtime_s": node.downtime_s,
+        "kills": node.kills,
+    }
+
+
+class TestParentState:
+    def test_nodes_match_sequential_after_faulted_adaptive_run(self):
+        config = _config(
+            policy="adaptive", faults=FAULTS, rate_per_s=8.0
+        )
+        states = {}
+        for jobs in (1, 2):
+            cluster = Cluster(config)
+            cluster.run(fleet_jobs=jobs)
+            states[jobs] = [_node_state(node) for node in cluster.nodes]
+            # Adopted nodes share the fleet memo again.
+            assert all(
+                node.solve_memo is cluster.solve_memo
+                for node in cluster.nodes
+            )
+        assert states[2] == states[1]
+        assert any(state["kills"] for state in states[1])
+        assert all(state["rate_cache"] for state in states[1])
+
+    def test_metrics_match_sequential_on_sampled_faulted_run(self):
+        config = _config(
+            faults=FAULTS, rate_per_s=8.0, duration_s=6.0,
+            sample_window_s=1.0, sample_period=3,
+        )
+        names = (
+            "cluster.routed", "cluster.failover", "cluster.shed",
+            "serve.sample.window_jumps", "serve.rate_solves",
+            "serve.requests.completed",
+        )
+        counts = {}
+        for jobs in (1, 2):
+            with observing() as (_, metrics):
+                Cluster(config).run(fleet_jobs=jobs)
+            counts[jobs] = {
+                name: metrics.counter(name).value for name in names
+            }
+        assert counts[2] == counts[1]
+        assert all(counts[1].values())
 
 
 class TestStatefulFallback:

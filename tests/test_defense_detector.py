@@ -166,6 +166,31 @@ class TestSerialization:
         with pytest.raises(DefenseError, match="newer"):
             detector_from_dict(payload)
 
+    @pytest.mark.parametrize("key, value", [
+        ("nodes", "2"),
+        ("nodes", True),
+        ("window_s", True),
+        ("window_s", "1.0"),
+        ("next_window", 2.9),
+        ("convicted", "thrash"),
+        ("convicted", [1]),
+        ("suspect_streaks", {"thrash": 1.5}),
+        ("clean_streaks", {"thrash": True}),
+        ("clean_streaks", [["thrash", 1]]),
+    ])
+    def test_rejects_mistyped_state(self, key, value):
+        # The config type rule: an int is a float, a bool is nothing,
+        # and nothing is coerced.
+        payload = _detector().to_dict()
+        payload[key] = value
+        with pytest.raises(DefenseError, match=key):
+            detector_from_dict(payload)
+
+    def test_int_window_loads_as_given(self):
+        payload = _detector().to_dict()
+        payload["window_s"] = 2
+        assert detector_from_dict(payload).window_s == 2
+
 
 class TestLoadDefense:
     """A fleet report's defense block, read through load_report."""

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import QueryService, ServiceConfig
+from repro.serve import QueryService, ServiceConfig, olap_heavy_mix
 from repro.serve.controller import AdaptiveController
 
 
@@ -116,7 +116,8 @@ class TestPolicies:
     def test_none_runs_unpartitioned(self, rate_cache):
         service = QueryService(_config(), rate_cache=rate_cache)
         assert not service.cache_controller.enabled
-        for cls in service._build_mix_schedule()[0][1].classes:
+        mix = olap_heavy_mix(service.spec.cores, service.calibration)
+        for cls in mix.classes:
             assert service._mask_for(cls) == service.spec.full_mask
 
     def test_adaptive_reconfigures_and_converges(self, rate_cache):
@@ -135,8 +136,8 @@ class TestPolicies:
 
     def test_adaptive_starts_unpartitioned(self):
         service = QueryService(_config(policy="adaptive"))
-        classes = service._build_mix_schedule()[0][1].classes
-        for cls in classes:
+        mix = olap_heavy_mix(service.spec.cores, service.calibration)
+        for cls in mix.classes:
             assert service._mask_for(cls) == service.spec.full_mask
 
 
