@@ -1,6 +1,7 @@
-"""Benchmark: the vectorized trace engine vs the reference loop.
+"""Benchmark: the vectorized trace engine vs its reference-loop oracle.
 
-Replays a deterministic corpus of LLC traces on both engines:
+Replays a deterministic corpus of LLC traces on both cache classes,
+built by class name:
 
 * ``full_random`` — uniform lines over 2x capacity, full geometry
   (2048 sets x 20 ways, the paper machine's way structure),
@@ -13,7 +14,7 @@ Replays a deterministic corpus of LLC traces on both engines:
 Every trace asserts **exact equivalence** first: identical per-access
 hit vectors, identical hit/miss/eviction statistics (global, per
 CLOS, per stream) and identical final cache contents (the
-engine-independent SHA-256 state digest recorded as the equivalence
+class-independent SHA-256 state digest recorded as the equivalence
 checksum).  Only then is speed compared; the gate is the aggregate
 over the full-geometry traces so no single trace shape dominates.
 
@@ -33,8 +34,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from repro.config import CacheSpec, SystemSpec
+from repro.hardware.cache import SetAssociativeCache, cache_state_digest
 from repro.hardware.cat import CatController
-from repro.hardware.engine import cache_state_digest, make_cache
+from repro.hardware.fastcache import FastSetAssociativeCache
 from repro.units import KiB
 
 LINE = 64
@@ -59,14 +61,14 @@ def _system(sets: int, ways: int) -> SystemSpec:
     )
 
 
-def _build_cache(sets: int, ways: int, engine: str, with_cat: bool):
+def _build_cache(sets: int, ways: int, cls, with_cat: bool):
     spec = _system(sets, ways)
     cat = None
     if with_cat:
         cat = CatController(spec)
         cat.set_clos_mask(1, (1 << ways) - 1)
         cat.set_clos_mask(2, 0b11)
-    return make_cache(spec.llc, cat=cat, engine=engine)
+    return cls(spec.llc, cat=cat)
 
 
 def _random_trace(sets, ways, n, rng):
@@ -104,17 +106,17 @@ CORPUS = (
 )
 
 
-def _replay(engine: str, sets, ways, trace) -> tuple[float, dict]:
+def _replay(cls, sets, ways, trace) -> tuple[float, dict]:
     # Untimed warmup on a throwaway cache: first-touch page faults and
     # lazy NumPy/SciPy machinery should not bias the steady-state
     # throughput comparison (they are identical for both engines).
-    warm = _build_cache(sets, ways, engine, trace["with_cat"])
+    warm = _build_cache(sets, ways, cls, trace["with_cat"])
     clos = trace["clos"]
     warm.access_batch(
         trace["addrs"][:4096],
         clos=clos if np.isscalar(clos) else clos[:4096],
     )
-    cache = _build_cache(sets, ways, engine, trace["with_cat"])
+    cache = _build_cache(sets, ways, cls, trace["with_cat"])
     started = time.perf_counter()
     hits = cache.access_batch(
         trace["addrs"],
@@ -172,8 +174,10 @@ def test_trace_engine_equivalence_and_speedup():
     for name, sets, ways, accesses, builder, gated in CORPUS:
         rng = np.random.default_rng(0x7ACE)
         trace = builder(sets, ways, accesses, rng)
-        ref_s, ref_out = _replay("ref", sets, ways, trace)
-        fast_s, fast_out = _replay("fast", sets, ways, trace)
+        ref_s, ref_out = _replay(SetAssociativeCache, sets, ways, trace)
+        fast_s, fast_out = _replay(
+            FastSetAssociativeCache, sets, ways, trace
+        )
 
         # Exact equivalence comes before any speed claim.
         assert np.array_equal(ref_out["hits"], fast_out["hits"]), name

@@ -47,9 +47,7 @@ from .cluster import (
 )
 from .defense import DEFENSE_MODES
 from .experiments.runner import FigureResult
-from .hardware.engine import ENGINES, set_default_engine
 from .obs import (
-    MetricsRegistry,
     RunArtifact,
     Span,
     format_spans,
@@ -142,15 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--fast", action="store_true",
         help="reduced sweeps for a quick look",
-    )
-    run.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help=(
-            "trace-simulation engine for cache-level experiments: "
-            "'fast' (vectorized batch replay, the default) or 'ref' "
-            "(per-access reference loop); both produce bit-identical "
-            "results, only wall-clock differs"
-        ),
     )
     run.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -535,32 +524,44 @@ def expand_experiments(name: str) -> list[str]:
     return [name]
 
 
+def _emit_observed(
+    name: str,
+    figure: dict | None,
+    spans: dict,
+    metrics: dict,
+    args: argparse.Namespace,
+    worker: dict | None = None,
+) -> None:
+    """Print one experiment's span tree and write its artifact, as the
+    flags ask; ``worker`` is set only for a pool worker's run."""
+    if args.trace:
+        print()
+        print(format_spans(Span.from_dict(spans)))
+    if args.json:
+        artifact = RunArtifact(
+            experiment=name,
+            figures=[figure] if figure is not None else [],
+            spans=spans,
+            metrics=metrics,
+            fast=args.fast,
+            jobs=args.jobs,
+            seed=args.seed,
+            worker=worker,
+        )
+        path = write_artifact(artifact, args.out)
+        print(f"artifact: {path}")
+
+
 def _run_observed(name: str, args: argparse.Namespace) -> None:
     """Run one experiment under a tracer/registry; emit artifacts."""
     runner, _ = EXPERIMENTS[name]
     with observing() as (tracer, metrics):
         with tracer.span(name):
             result = runner(fast=args.fast)
-    if args.trace:
-        print()
-        print(format_spans(tracer.root))
-    if args.json:
-        figures = (
-            [result.to_dict()]
-            if isinstance(result, FigureResult)
-            else []
-        )
-        artifact = RunArtifact(
-            experiment=name,
-            figures=figures,
-            spans=tracer.to_dict(),
-            metrics=metrics.snapshot(),
-            fast=args.fast,
-            jobs=args.jobs,
-            seed=args.seed,
-        )
-        path = write_artifact(artifact, args.out)
-        print(f"artifact: {path}")
+    figure = result.to_dict() if isinstance(result, FigureResult) else None
+    _emit_observed(
+        name, figure, tracer.to_dict(), metrics.snapshot(), args
+    )
 
 
 def _emit_worker_payload(
@@ -568,30 +569,18 @@ def _emit_worker_payload(
 ) -> None:
     """Re-emit one worker's experiment exactly as a sequential run."""
     print(payload["stdout"], end="")
-    if args.trace and payload["spans"] is not None:
-        print()
-        print(format_spans(Span.from_dict(payload["spans"])))
-    if args.json:
-        artifact = RunArtifact(
-            experiment=payload["name"],
-            figures=(
-                [payload["figure"]]
-                if payload["figure"] is not None
-                else []
-            ),
-            spans=payload["spans"],
-            metrics=payload["metrics"]
-            or MetricsRegistry().snapshot(),
-            fast=args.fast,
-            jobs=args.jobs,
-            seed=args.seed,
+    if payload["spans"] is not None:
+        _emit_observed(
+            payload["name"],
+            payload["figure"],
+            payload["spans"],
+            payload["metrics"],
+            args,
             worker={
                 "pid": payload["pid"],
                 "wall_seconds": payload["seconds"],
             },
         )
-        path = write_artifact(artifact, args.out)
-        print(f"artifact: {path}")
 
 
 def _run_parallel(names: list[str], args: argparse.Namespace) -> None:
@@ -617,7 +606,6 @@ def _run_parallel(names: list[str], args: argparse.Namespace) -> None:
                 not args.no_cache,
                 args.cache_dir,
                 args.seed,
-                args.engine,
             )
             for name in names
         ]
@@ -890,8 +878,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     names = expand_experiments(args.experiment)
-    if args.engine is not None:
-        set_default_engine(args.engine)
     seeding.set_seed(args.seed)
     try:
         if args.jobs > 1 and len(names) > 1:

@@ -7,7 +7,7 @@ routing layer (consistent hashing, least-loaded, or cache-affinity
 placement), with seeded fault injection and fleet-wide SLO reporting.
 """
 
-from .epoch import Epoch, split_epochs
+from .epoch import count_epochs
 from .faults import (
     FaultEvent,
     FaultSpec,
@@ -55,7 +55,6 @@ __all__ = [
     "ClusterNode",
     "ClusterReport",
     "DEFAULT_VIRTUAL_NODES",
-    "Epoch",
     "FLEET_REPORT_VERSION",
     "FaultEvent",
     "FaultSpec",
@@ -69,10 +68,10 @@ __all__ = [
     "cluster_classes",
     "cluster_olap_mix",
     "cluster_oltp_mix",
+    "count_epochs",
     "expand_schedule",
     "make_router",
     "seeded_faults",
-    "split_epochs",
     "tenant_id",
     "validate_schedule",
 ]

@@ -22,8 +22,8 @@ two steps:
    parent adopts it in place of its idle copy.
 
 *Epochs* are the topology-stable stretches between distinct fault
-instants (:func:`split_epochs`); the report's ``execution.epochs``
-counts them.
+instants; the report's ``execution.epochs`` counts them
+(:func:`count_epochs`).
 
 Stateful routers (``least-loaded``, ``affinity``) read live queue
 contents per decision, so their fleets cannot be planned ahead; they
@@ -32,7 +32,6 @@ stay on the sequential path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .. import seeding
@@ -49,55 +48,15 @@ PLANNABLE_ROUTERS = ("hash", "planned")
 _NODE_LANE = 1
 
 
-@dataclass(frozen=True)
-class Epoch:
-    """One topology-stable stretch of the run.
+def count_epochs(events: tuple[FaultEvent, ...] | list[FaultEvent]) -> int:
+    """Topology-stable stretches of a run: one per distinct fault-event
+    instant, plus the initial one.
 
-    ``start_s`` is the instant of the fault event(s) opening the epoch
-    (0.0 for the initial epoch); ``alive`` is the live set *after*
-    those events applied — the set every routing decision inside the
-    epoch sees.
+    Simultaneous kills and recoveries (even on different nodes) open a
+    single epoch, exactly as the sequential loop drains every lane-0
+    event at an instant before looking at arrivals.
     """
-
-    index: int
-    start_s: float
-    alive: frozenset[int]
-    events: tuple[FaultEvent, ...] = ()
-
-
-def split_epochs(
-    events: tuple[FaultEvent, ...] | list[FaultEvent],
-    nodes: int,
-) -> tuple[Epoch, ...]:
-    """Epochs from an expanded, time-ordered fault-event list.
-
-    One boundary per *distinct* event time — simultaneous kills and
-    recoveries (even on different nodes) open a single epoch, exactly
-    as the sequential loop drains every lane-0 event at an instant
-    before looking at arrivals.
-    """
-    alive = set(range(nodes))
-    epochs = [Epoch(0, 0.0, frozenset(alive))]
-    position = 0
-    ordered = list(events)
-    while position < len(ordered):
-        time_s = ordered[position].time_s
-        opening = []
-        while (
-            position < len(ordered)
-            and ordered[position].time_s == time_s
-        ):
-            event = ordered[position]
-            if event.recover:
-                alive.add(event.node)
-            else:
-                alive.discard(event.node)
-            opening.append(event)
-            position += 1
-        epochs.append(Epoch(
-            len(epochs), time_s, frozenset(alive), tuple(opening)
-        ))
-    return tuple(epochs)
+    return len({event.time_s for event in events}) + 1
 
 
 def replay_inbox(node, inbox: list[tuple]) -> None:

@@ -140,7 +140,7 @@ from ..serve.arrivals import (
 )
 from ..serve.service import POLICIES, ServiceConfig
 from ..serve.slo import SloTarget, SloTracker
-from .epoch import PLANNABLE_ROUTERS, replay_node_task, split_epochs
+from .epoch import PLANNABLE_ROUTERS, count_epochs, replay_node_task
 from .faults import FaultSpec, expand_schedule, validate_schedule
 from .node import ClusterNode
 from .ring import DEFAULT_VIRTUAL_NODES
@@ -548,7 +548,7 @@ class Cluster:
             for index in range(config.nodes)
         ]
         self._fault_events = expand_schedule(config.faults)
-        self._epochs = split_epochs(self._fault_events, config.nodes)
+        self._epochs = count_epochs(self._fault_events)
         self._fault_index = 0
         self._alive = set(range(config.nodes))
         self._alive_frozen = frozenset(self._alive)
@@ -1119,7 +1119,7 @@ class Cluster:
             fleet_jobs=jobs,
         ):
             runtime.metrics.counter("cluster.epoch.count").inc(
-                len(self._epochs)
+                self._epochs
             )
             if jobs > 1:
                 self._inboxes = [[] for _ in self.nodes]
@@ -1209,7 +1209,7 @@ class Cluster:
     def _execution_block(self) -> dict:
         """The report's ``execution`` entry (path-independent)."""
         return {
-            "epochs": len(self._epochs),
+            "epochs": self._epochs,
             "warnings": list(self._warnings),
         }
 

@@ -15,10 +15,10 @@ Two geometries are validated:
 * the historical scaled-down geometry (128 sets x 16 ways), and
 * the **full LLC geometry** of the paper's machine (2048 sets x
   20 ways) — affordable since the vectorized trace engine
-  (:mod:`repro.hardware.fastcache`) replays whole batches; the
-  per-access reference engine remains selectable via ``--engine ref``
-  (both produce bit-identical hit ratios, so the table does not depend
-  on the choice — only the wall-clock does).
+  (:mod:`repro.hardware.fastcache`) replays whole batches.  The
+  per-access reference cache is its oracle:
+  ``tests/test_experiments_trace_oracle.py`` replays this experiment's
+  schedule on both and asserts identical hits, stats and final state.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.config import CacheSpec, SystemSpec
 from repro.hardware.cat import CatController
-from repro.hardware.engine import make_cache
+from repro.hardware.fastcache import FastSetAssociativeCache
 from repro.model.occupancy import (
     RegionActor,
     StreamActor,
@@ -116,6 +116,28 @@ def _schedule(
     return lines, is_region, region_pos
 
 
+def _cat_setup(
+    geometry: Geometry, partitioned: bool
+) -> tuple[CacheSpec, CatController]:
+    """The LLC spec and CAT programming: the region (CLOS 1) may fill
+    every way, the scan (CLOS 2) only its stream ways when
+    ``partitioned``."""
+    spec = _scaled_spec(geometry)
+    cat = CatController(spec)
+    cat.set_clos_mask(1, geometry.full_mask)
+    cat.set_clos_mask(
+        2, geometry.stream_mask if partitioned else geometry.full_mask
+    )
+    return spec.llc, cat
+
+
+def _replay(cache, lines: np.ndarray, is_region: np.ndarray) -> np.ndarray:
+    """Replay a schedule with its CLOS and stream labels; per-access hits."""
+    clos = np.where(is_region, 1, 2)
+    streams = np.where(is_region, "region", "scan").tolist()
+    return cache.access_batch(lines * LINE, clos=clos, stream=streams)
+
+
 def _measure(
     geometry: Geometry,
     region_lines: int,
@@ -123,22 +145,13 @@ def _measure(
     partitioned: bool,
     steps: int,
     rng: np.random.Generator,
-    engine: str | None,
 ) -> float:
     """Steady-state hit ratio of the region on the exact simulator."""
-    spec = _scaled_spec(geometry)
-    cat = CatController(spec)
-    cat.set_clos_mask(1, geometry.full_mask)
-    cat.set_clos_mask(
-        2, geometry.stream_mask if partitioned else geometry.full_mask
-    )
-    cache = make_cache(spec.llc, cat=cat, engine=engine)
+    llc, cat = _cat_setup(geometry, partitioned)
     lines, is_region, region_pos = _schedule(
         region_lines, stream_rate, steps, rng
     )
-    clos = np.where(is_region, 1, 2)
-    streams = np.where(is_region, "region", "scan").tolist()
-    hits = cache.access_batch(lines * LINE, clos=clos, stream=streams)
+    hits = _replay(FastSetAssociativeCache(llc, cat=cat), lines, is_region)
     warmup = steps // 2
     measured = hits[region_pos[warmup:]]
     return float(measured.sum()) / max(1, len(measured))
@@ -200,11 +213,7 @@ CONFIGS = (
 )
 
 
-def run(
-    spec: SystemSpec | None = None,
-    fast: bool = False,
-    engine: str | None = None,
-) -> FigureResult:
+def run(spec: SystemSpec | None = None, fast: bool = False) -> FigureResult:
     rng = np.random.default_rng(0xBEEF)
     result = FigureResult(
         figure_id="ext_trace",
@@ -222,8 +231,7 @@ def run(
         else:
             steps = 12_000 if fast else 40_000
         measured = _measure(
-            geometry, region_lines, stream_rate, partitioned, steps,
-            rng, engine,
+            geometry, region_lines, stream_rate, partitioned, steps, rng
         )
         predicted = _predict(
             geometry, region_lines, stream_rate,

@@ -11,13 +11,17 @@ model in :mod:`repro.model`.  It implements:
 * per-stream and per-CLOS hit/miss statistics,
 * eviction callbacks so an inclusive hierarchy can back-invalidate.
 
-The simulator is deliberately straightforward Python: it is used for
-unit/property tests and for cross-validating the analytic model on
-scaled-down geometries, not for simulating billions of accesses.
+The simulator is deliberately straightforward Python: it is the oracle
+the vectorized engine (:mod:`repro.hardware.fastcache`) is tested
+against, the cache of the per-access :class:`CacheHierarchy
+<repro.hardware.hierarchy.CacheHierarchy>`, and the substrate for
+cross-validating the analytic model on scaled-down geometries — not
+for simulating billions of accesses.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -242,10 +246,9 @@ class SetAssociativeCache:
         """Access a batch of byte addresses; returns per-access hits.
 
         ``clos``, ``stream`` and ``is_prefetch`` may be scalars or
-        per-access sequences.  This is the engine-agnostic entry point:
-        on the reference engine it is a per-access loop; the vectorized
-        engine (:mod:`repro.hardware.fastcache`) overrides it with a
-        whole-batch replay that produces identical results.
+        per-access sequences.  A per-access loop with the signature of
+        the vectorized engine's whole-batch replay, so oracle tests
+        feed both caches the same batch.
         """
         addrs = np.asarray(addrs)
         n = len(addrs)
@@ -337,3 +340,20 @@ class SetAssociativeCache:
                 line.tag = -1
                 line.stream = None
         self.reset_stats()
+
+
+def cache_state_digest(cache) -> str:
+    """SHA-256 over the canonical (sorted) valid-line enumeration.
+
+    Independent of the cache class: the reference cache and the
+    vectorized engine holding identical content produce identical
+    digests.  Benchmarks record it as the equivalence checksum.
+    """
+    lines = sorted(
+        (set_index, way, tag, "\x00" if stream is None else stream, clos)
+        for set_index, way, tag, stream, clos in cache.iter_lines()
+    )
+    payload = "\n".join(
+        f"{s}:{w}:{t}:{stream}:{c}" for s, w, t, stream, c in lines
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -1,8 +1,10 @@
 """Vectorized NumPy trace engine for the set-associative CAT cache.
 
-:class:`FastSetAssociativeCache` is an exact, drop-in replacement for
-:class:`repro.hardware.cache.SetAssociativeCache` that replays whole
-address *batches* instead of single accesses.  State lives in
+:class:`FastSetAssociativeCache` is the trace engine every run uses.
+It replays whole address *batches* instead of single accesses, and the
+per-access :class:`repro.hardware.cache.SetAssociativeCache` is its
+oracle: tests and ``benchmarks/bench_trace.py`` build both by class
+name and compare them.  State lives in
 struct-of-arrays form — ``tags``, ``stamps``, ``streams`` and ``clos``
 as 2-D ``sets x ways`` integer arrays, stream labels interned to ints —
 and a batch is processed as a *wavefront*:
@@ -21,7 +23,7 @@ Because per-set access order, the global clock stamps and the CAT
 semantics (hit anywhere, allocate only inside the mask; demand hits
 re-brand the line's stream; prefetch fills uncounted) are all preserved
 exactly, the engine produces **bit-identical** hit/miss/eviction counts
-and final tag state to the reference engine on any trace — the
+and final tag state to the reference oracle on any trace — the
 equivalence is enforced by ``tests/test_hardware_fastcache_properties``
 and re-checked on every benchmark run (``benchmarks/bench_trace.py``).
 
@@ -40,7 +42,7 @@ but is excluded from the measured statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -52,13 +54,11 @@ except ImportError:  # pragma: no cover - scipy ships with the toolchain
 from ..config import CacheSpec
 from ..errors import CacheConfigError, CatError
 from ..obs import runtime
-from .cache import CacheStats, EvictionEvent
+from .cache import CacheStats
 from .cat import CatController
 
 #: Interned stream id meaning "no stream label" (``stream=None``).
 NO_STREAM = -1
-
-_FAR_FUTURE = np.iinfo(np.int64).max
 
 #: Victim-key encoding (see ``_replay``): keys below ``_KEY_BASE`` are
 #: invalid-way indices, keys above are ``stamp*wmul + way + _KEY_BASE``,
@@ -109,23 +109,19 @@ def _group_by_set(
 class FastSetAssociativeCache:
     """NumPy struct-of-arrays LRU cache honouring CAT capacity bitmasks.
 
-    Exposes the same public surface as the reference engine
-    (``access``, ``access_many``, ``access_batch``, ``contains``,
-    ``invalidate``, occupancy inspection, ``iter_lines``, ``flush``)
-    plus ``snapshot``/``restore`` used by the batched hierarchy replay
-    to rewind a chunk when inclusive back-invalidation would make the
-    staged schedule diverge from the per-access one.
+    Replays through ``access_batch`` (``access_many`` wraps it) and
+    exposes the inspection surface the oracle tests compare against
+    the reference cache: ``contains``, occupancy, ``iter_lines``,
+    ``valid_lines``, ``lines_in_ways``, statistics and ``flush``.
     """
 
     def __init__(
         self,
         spec: CacheSpec,
         cat: Optional[CatController] = None,
-        on_evict: Optional[Callable[[EvictionEvent], None]] = None,
     ) -> None:
         self._spec = spec
         self._cat = cat
-        self._on_evict = on_evict
         shape = (spec.sets, spec.ways)
         self._tags = np.full(shape, -1, dtype=np.int64)
         self._stamps = np.zeros(shape, dtype=np.int64)
@@ -199,7 +195,7 @@ class FastSetAssociativeCache:
         """Allowed-way rows for each unique CLOS in a batch.
 
         Mask resolution errors (unconfigured CLOS, bad mask) are not
-        raised here: the reference engine only resolves a mask on a
+        raised here: the reference cache only resolves a mask on a
         *miss*, so a faulty CLOS that happens to always hit must not
         fail.  Faulty rows are marked poisoned and the stored exception
         is raised by the replay loop on the first miss that needs one
@@ -215,85 +211,6 @@ class FastSetAssociativeCache:
                 poison[j] = True
                 errors[j] = exc
         return table, poison, errors
-
-    # ------------------------------------------------------------------
-    # scalar access (drop-in parity with the reference engine)
-
-    def access(
-        self,
-        addr: int,
-        clos: int = 0,
-        stream: Optional[str] = None,
-        is_prefetch: bool = False,
-    ) -> bool:
-        """Access one byte address; returns True on a cache hit."""
-        self._clock += 1
-        line_addr = addr // self._spec.line_bytes
-        set_index = line_addr % self._spec.sets
-        row = self._tags[set_index]
-        hit_ways = np.flatnonzero(row == line_addr)
-        sid = self.intern_stream(stream)
-        if len(hit_ways):
-            way = int(hit_ways[0])
-            self._stamps[set_index, way] = self._clock
-            if not is_prefetch:
-                if sid >= 0 and self._stream_truthy[sid]:
-                    self._streams[set_index, way] = sid
-                self._record_scalar(clos, sid, hit=True)
-            return True
-        if not is_prefetch:
-            self._record_scalar(clos, sid, hit=False)
-        allowed = self._clos_allowed(clos)
-        invalid = (row < 0) & allowed
-        invalid_ways = np.flatnonzero(invalid)
-        if len(invalid_ways):
-            victim = int(invalid_ways[0])
-        else:
-            stamps = np.where(allowed, self._stamps[set_index], _FAR_FUTURE)
-            victim = int(stamps.argmin())
-            self._count_eviction(
-                int(self._clos[set_index, victim]),
-                int(self._streams[set_index, victim]),
-            )
-            if self._on_evict is not None:
-                self._on_evict(
-                    EvictionEvent(
-                        int(row[victim]),
-                        self._stream_name(
-                            int(self._streams[set_index, victim])
-                        ),
-                        int(self._clos[set_index, victim]),
-                    )
-                )
-        self._tags[set_index, victim] = line_addr
-        self._stamps[set_index, victim] = self._clock
-        self._streams[set_index, victim] = sid
-        self._clos[set_index, victim] = clos
-        return False
-
-    def _record_scalar(self, clos: int, sid: int, hit: bool) -> None:
-        scopes = [self.stats, self.stats_by_clos.setdefault(clos, CacheStats())]
-        if sid >= 0:
-            scopes.append(
-                self.stats_by_stream.setdefault(
-                    self._stream_names[sid], CacheStats()
-                )
-            )
-        for scope in scopes:
-            if hit:
-                scope.hits += 1
-            else:
-                scope.misses += 1
-
-    def _count_eviction(self, victim_clos: int, victim_sid: int) -> None:
-        self.stats.evictions += 1
-        self.stats_by_clos.setdefault(
-            victim_clos, CacheStats()
-        ).evictions += 1
-        if victim_sid >= 0:
-            self.stats_by_stream.setdefault(
-                self._stream_names[victim_sid], CacheStats()
-            ).evictions += 1
 
     # ------------------------------------------------------------------
     # batched access
@@ -554,8 +471,6 @@ class FastSetAssociativeCache:
                     cells = miss_cols[ev_sub]
                     evict_ways = victims[ev_sub]
                     evict_parts.append((
-                        orig_r[cells],
-                        tags_w[evict_ways, cells],
                         streams_w[evict_ways, cells],
                         clos_w[evict_ways, cells],
                     ))
@@ -594,8 +509,6 @@ class FastSetAssociativeCache:
         metrics.counter("sim.trace.batches").inc()
         metrics.counter("sim.trace.accesses").inc(n)
         metrics.counter("sim.trace.rounds").inc(len(round_sizes))
-        if self._on_evict is not None and evict_parts:
-            self._dispatch_evictions(evict_parts)
         return hits_out
 
     def _fold_stats(
@@ -677,8 +590,8 @@ class FastSetAssociativeCache:
             fold_joint(stream_ids, by_sid, 1)
 
         if evict_parts:
-            victim_clos = np.concatenate([p[3] for p in evict_parts])
-            victim_sids = np.concatenate([p[2] for p in evict_parts])
+            victim_sids = np.concatenate([p[0] for p in evict_parts])
+            victim_clos = np.concatenate([p[1] for p in evict_parts])
             self.stats.evictions += len(victim_clos)
             fold(
                 victim_clos, np.ones(len(victim_clos), bool),
@@ -691,31 +604,8 @@ class FastSetAssociativeCache:
                 self._stream_names[sid], CacheStats()
             ).merge(delta)
 
-    def _dispatch_evictions(
-        self, evict_parts: list[tuple[np.ndarray, ...]]
-    ) -> None:
-        """Fire the eviction callback in original access order.
-
-        The callback runs after the batch completes (the reference
-        engine fires mid-replay); hierarchies that need interleaved
-        semantics use the chunked replay in
-        :meth:`repro.hardware.hierarchy.CacheHierarchy.run_trace`.
-        """
-        indices = np.concatenate([p[0] for p in evict_parts])
-        tags = np.concatenate([p[1] for p in evict_parts])
-        sids = np.concatenate([p[2] for p in evict_parts])
-        clos = np.concatenate([p[3] for p in evict_parts])
-        for i in np.argsort(indices, kind="stable"):
-            self._on_evict(
-                EvictionEvent(
-                    int(tags[i]),
-                    self._stream_name(int(sids[i])),
-                    int(clos[i]),
-                )
-            )
-
     # ------------------------------------------------------------------
-    # inspection and maintenance (reference-engine parity)
+    # inspection and maintenance (compared against the oracle)
 
     def contains(self, addr: int) -> bool:
         """True when the line holding ``addr`` is currently cached."""
@@ -723,16 +613,6 @@ class FastSetAssociativeCache:
         return bool(
             (self._tags[line_addr % self._spec.sets] == line_addr).any()
         )
-
-    def invalidate(self, line_addr: int) -> bool:
-        """Drop a line (by *line* address); True if it was present."""
-        set_index = line_addr % self._spec.sets
-        ways = np.flatnonzero(self._tags[set_index] == line_addr)
-        if not len(ways):
-            return False
-        self._tags[set_index, ways[0]] = -1
-        self._streams[set_index, ways[0]] = NO_STREAM
-        return True
 
     def occupancy_by_stream(self) -> dict[str, int]:
         """Number of valid lines currently owned by each stream label."""
@@ -785,48 +665,6 @@ class FastSetAssociativeCache:
         self._streams.fill(NO_STREAM)
         self.reset_stats()
 
-    # ------------------------------------------------------------------
-    # chunk rewind support for the batched hierarchy
-
-    def snapshot(self) -> tuple:
-        """Capture full engine state (arrays, clock, statistics)."""
-        return (
-            self._tags.copy(),
-            self._stamps.copy(),
-            self._streams.copy(),
-            self._clos.copy(),
-            self._clock,
-            CacheStats(**vars(self.stats)),
-            {k: CacheStats(**vars(v)) for k, v in self.stats_by_clos.items()},
-            {
-                k: CacheStats(**vars(v))
-                for k, v in self.stats_by_stream.items()
-            },
-        )
-
-    def restore(self, state: tuple) -> None:
-        """Rewind to a :meth:`snapshot` (intern table is append-only
-        and deliberately kept — unused ids are harmless)."""
-        (tags, stamps, streams, clos, clock, stats, by_clos, by_stream) = (
-            state
-        )
-        self._tags = tags.copy()
-        self._stamps = stamps.copy()
-        self._streams = streams.copy()
-        self._clos = clos.copy()
-        self._clock = clock
-        self.stats = CacheStats(**vars(stats))
-        self.stats_by_clos = {
-            k: CacheStats(**vars(v)) for k, v in by_clos.items()
-        }
-        self.stats_by_stream = {
-            k: CacheStats(**vars(v)) for k, v in by_stream.items()
-        }
-
-    def resident_lines(self) -> set[int]:
-        """Set of line addresses currently cached (conflict checks)."""
-        return set(int(t) for t in self._tags[self._tags >= 0])
-
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -874,7 +712,7 @@ def replay_sampled(
 ) -> tuple[CacheStats, dict]:
     """Replay ``addrs`` under an interval-sampling plan.
 
-    Works with either engine (it only uses ``access_many``).  Returns
+    Works with either cache class (it only uses ``access_many``).  Returns
     the measured :class:`CacheStats` (warmup and skipped accesses
     excluded) and an info dict with the window accounting, so callers
     can scale estimates back to full-trace magnitudes.

@@ -7,18 +7,10 @@ slice are back-invalidated out of the core's private caches too, which
 is why an overly narrow mask (``0x1``) hurts even a pure scan
 (paper Sec. V-B).
 
-Trace replay has two paths:
-
-* the per-access path (``access``), the semantic ground truth;
-* a chunked, batched path used by :meth:`CacheHierarchy.run_trace`
-  when the hierarchy was built with the ``fast`` engine: each chunk is
-  staged L1 -> L2 -> LLC as three whole-batch replays.  Staging is
-  only exact while inclusive back-invalidation stays a no-op inside
-  the chunk, so every chunk is checked — if any LLC-evicted line was
-  (or became) resident in a private cache during the chunk, the chunk
-  is rewound from snapshots and replayed per access.  The result is
-  always bit-identical to the per-access path; conflicts only cost
-  time (counted in the ``sim.trace.fallbacks`` metric).
+Every level is a per-access reference cache
+(:class:`~repro.hardware.cache.SetAssociativeCache`): an LLC eviction
+back-invalidates the private copies at the moment it happens, which a
+whole-batch replay cannot interleave.
 """
 
 from __future__ import annotations
@@ -27,21 +19,14 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional
 
-import numpy as np
-
 from ..config import SystemSpec
 from ..errors import ConfigError
 from ..obs import runtime
-from .cache import EvictionEvent
+from .cache import EvictionEvent, SetAssociativeCache
 from .cat import CatController
 from .fastcache import SamplingPlan
 from .prefetcher import StreamPrefetcher
 from .trace import MemoryAccess
-
-from . import engine as engine_mod
-
-#: Accesses per staged chunk of the batched replay.
-DEFAULT_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -61,11 +46,6 @@ class CacheHierarchy:
     The hierarchy is driven with (core, access) pairs; the issuing CLOS
     is resolved from the core's current association in the shared
     :class:`CatController`, exactly like hardware resolves PQR_ASSOC.
-
-    ``engine`` selects the cache implementation for every level:
-    ``"ref"`` (default, the per-access loop), ``"fast"`` (the NumPy
-    engine, enabling the batched ``run_trace`` path), or ``None`` for
-    the process default (see :mod:`repro.hardware.engine`).
     """
 
     def __init__(
@@ -73,34 +53,19 @@ class CacheHierarchy:
         spec: SystemSpec,
         cat: Optional[CatController] = None,
         prefetcher: Optional[StreamPrefetcher] = None,
-        engine: Optional[str] = "ref",
     ) -> None:
         self.spec = spec
         self.cat = cat if cat is not None else CatController(spec)
         self.prefetcher = prefetcher
-        self.engine = (
-            engine_mod.get_default_engine() if engine is None else engine
-        )
-        self.llc = engine_mod.make_cache(
-            spec.llc,
-            cat=self.cat,
-            on_evict=self._back_invalidate,
-            engine=self.engine,
+        self.llc = SetAssociativeCache(
+            spec.llc, cat=self.cat, on_evict=self._back_invalidate
         )
         self._l1 = {}
         self._l2 = {}
         for core in range(spec.cores):
-            self._l1[core] = engine_mod.make_cache(
-                spec.l1d, engine=self.engine
-            )
-            self._l2[core] = engine_mod.make_cache(
-                spec.l2, engine=self.engine
-            )
+            self._l1[core] = SetAssociativeCache(spec.l1d)
+            self._l2[core] = SetAssociativeCache(spec.l2)
         self.dram_accesses = 0
-        # While a staged chunk replays, LLC evictions are also logged
-        # here so the chunk can be checked for back-invalidation
-        # conflicts (and rewound if staging was not exact).
-        self._chunk_evictions: Optional[list[int]] = None
 
     def l1(self, core: int):
         return self._cache_for(core, self._l1)
@@ -116,8 +81,6 @@ class CacheHierarchy:
 
     def _back_invalidate(self, event: EvictionEvent) -> None:
         """Enforce inclusivity: an LLC eviction purges private copies."""
-        if self._chunk_evictions is not None:
-            self._chunk_evictions.append(event.line_addr)
         for caches in (self._l1, self._l2):
             for cache in caches.values():
                 cache.invalidate(event.line_addr)
@@ -166,29 +129,21 @@ class CacheHierarchy:
         trace: Iterable[MemoryAccess],
         max_accesses: Optional[int] = None,
         sample: Optional[SamplingPlan] = None,
-        chunk_size: int = DEFAULT_CHUNK,
     ) -> dict[str, int]:
         """Replay a trace from one core; returns per-level hit counts.
 
-        With the ``fast`` engine, chunks of ``chunk_size`` accesses are
-        replayed staged-and-batched (bit-identical to the per-access
-        path, see the module docstring).  With ``sample``, only every
-        ``sample.period``-th window of ``sample.window`` accesses is
-        simulated and the leading warmup slice of each simulated window
-        is excluded from the returned counts — an estimate for traces
-        too long to replay in full.
+        With ``sample``, only every ``sample.period``-th window of
+        ``sample.window`` accesses is simulated and the leading warmup
+        slice of each simulated window is excluded from the returned
+        counts — an estimate for traces too long to replay in full.
         """
         iterator = iter(trace)
         if max_accesses is not None:
             iterator = islice(iterator, max_accesses)
         levels = {"L1": 0, "L2": 0, "LLC": 0, "DRAM": 0}
         if sample is None:
-            while True:
-                chunk = list(islice(iterator, chunk_size))
-                if not chunk:
-                    break
-                for level, count in self._replay_chunk(core, chunk).items():
-                    levels[level] += count
+            for access in iterator:
+                levels[self.access(core, access).level] += 1
             return levels
 
         metrics = runtime.metrics
@@ -200,134 +155,13 @@ class CacheHierarchy:
             if window_index % sample.period == 0:
                 simulated += 1
                 warmup = min(sample.warmup_accesses, len(window))
-                for start in range(0, warmup, chunk_size):
-                    self._replay_chunk(
-                        core, window[start:start + chunk_size]
-                    )
-                for start in range(warmup, len(window), chunk_size):
-                    counts = self._replay_chunk(
-                        core, window[start:start + chunk_size]
-                    )
-                    for level, count in counts.items():
-                        levels[level] += count
+                for position, access in enumerate(window):
+                    level = self.access(core, access).level
+                    if position >= warmup:
+                        levels[level] += 1
             window_index += 1
         metrics.counter("sim.trace.sampled_windows").inc(simulated)
         metrics.counter("sim.trace.skipped_windows").inc(
             window_index - simulated
         )
-        return levels
-
-    def _batched_capable(self) -> bool:
-        line = self.spec.llc.line_bytes
-        return (
-            self.engine == "fast"
-            and self.spec.l1d.line_bytes == line
-            and self.spec.l2.line_bytes == line
-        )
-
-    def _replay_chunk(
-        self, core: int, chunk: list[MemoryAccess]
-    ) -> dict[str, int]:
-        """Replay one chunk; staged/batched when exactness allows."""
-        if not self._batched_capable():
-            return self._replay_chunk_scalar(core, chunk)
-        runtime.metrics.counter("sim.trace.chunks").inc()
-
-        l1 = self._cache_for(core, self._l1)
-        l2 = self._cache_for(core, self._l2)
-        clos = self.cat.core_clos(core)
-        line_bytes = self.spec.llc.line_bytes
-        snapshots = (
-            l1.snapshot(),
-            l2.snapshot(),
-            self.llc.snapshot(),
-            self.prefetcher.snapshot() if self.prefetcher else None,
-            self.dram_accesses,
-        )
-        start_resident = l1.resident_lines() | l2.resident_lines()
-
-        addrs = np.fromiter(
-            (access.addr for access in chunk), np.int64, count=len(chunk)
-        )
-        streams = np.array(
-            [access.stream for access in chunk], dtype=object
-        )
-        hit1 = l1.access_batch(addrs, stream=streams)
-        miss1 = np.flatnonzero(~hit1)
-        l2_addrs = addrs[miss1]
-        l2_streams = streams[miss1]
-        hit2 = l2.access_batch(l2_addrs, stream=l2_streams)
-
-        # LLC schedule, in per-access order: an L2 hit touches the LLC
-        # as a (filtered) prefetch; an L2 miss is a demand access,
-        # followed by whatever the prefetcher decides to fill.
-        if self.prefetcher is None:
-            llc_addrs = l2_addrs
-            llc_streams = l2_streams
-            llc_pref = hit2
-        else:
-            sched_addrs: list[int] = []
-            sched_streams: list[str] = []
-            sched_pref: list[bool] = []
-            for j in range(len(l2_addrs)):
-                addr = int(l2_addrs[j])
-                stream = l2_streams[j]
-                sched_addrs.append(addr)
-                sched_streams.append(stream)
-                sched_pref.append(bool(hit2[j]))
-                if not hit2[j]:
-                    for prefetch_line in self.prefetcher.observe(
-                        stream, addr // line_bytes
-                    ):
-                        sched_addrs.append(prefetch_line * line_bytes)
-                        sched_streams.append(stream)
-                        sched_pref.append(True)
-            llc_addrs = np.asarray(sched_addrs, np.int64)
-            llc_streams = np.array(sched_streams, dtype=object)
-            llc_pref = np.asarray(sched_pref, bool)
-
-        self._chunk_evictions = []
-        try:
-            llc_hits = self.llc.access_batch(
-                llc_addrs, clos=clos, stream=llc_streams,
-                is_prefetch=llc_pref,
-            )
-            evicted = self._chunk_evictions
-        finally:
-            self._chunk_evictions = None
-
-        chunk_lines = set(int(line) for line in np.unique(addrs // line_bytes))
-        clean = all(
-            line not in start_resident and line not in chunk_lines
-            for line in evicted
-        )
-        if clean:
-            demand = ~llc_pref
-            llc_count = int(np.count_nonzero(llc_hits & demand))
-            dram_count = int(np.count_nonzero(~llc_hits & demand))
-            self.dram_accesses += dram_count
-            return {
-                "L1": int(np.count_nonzero(hit1)),
-                "L2": int(np.count_nonzero(hit2)),
-                "LLC": llc_count,
-                "DRAM": dram_count,
-            }
-
-        # Staging was not exact for this chunk: rewind and take the
-        # per-access path, which interleaves back-invalidation.
-        runtime.metrics.counter("sim.trace.fallbacks").inc()
-        l1.restore(snapshots[0])
-        l2.restore(snapshots[1])
-        self.llc.restore(snapshots[2])
-        if self.prefetcher is not None:
-            self.prefetcher.restore(snapshots[3])
-        self.dram_accesses = snapshots[4]
-        return self._replay_chunk_scalar(core, chunk)
-
-    def _replay_chunk_scalar(
-        self, core: int, chunk: list[MemoryAccess]
-    ) -> dict[str, int]:
-        levels = {"L1": 0, "L2": 0, "LLC": 0, "DRAM": 0}
-        for access in chunk:
-            levels[self.access(core, access).level] += 1
         return levels

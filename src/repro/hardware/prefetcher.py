@@ -80,25 +80,6 @@ class StreamPrefetcher:
             return prefetches
         return []
 
-    def snapshot(self) -> tuple:
-        """Capture tracker state (for chunked-replay rewinds)."""
-        return (
-            {
-                name: _StreamState(state.last_line, state.run_length)
-                for name, state in self._streams.items()
-            },
-            self.issued,
-        )
-
-    def restore(self, state: tuple) -> None:
-        """Rewind to a :meth:`snapshot`."""
-        streams, issued = state
-        self._streams = {
-            name: _StreamState(entry.last_line, entry.run_length)
-            for name, entry in streams.items()
-        }
-        self.issued = issued
-
     def reset(self) -> None:
         self._streams.clear()
         self.issued = 0

@@ -33,20 +33,16 @@ def run_experiment_task(
     cache_enabled: bool = True,
     disk_dir: str | None = None,
     seed: int | None = None,
-    engine: str | None = None,
 ) -> dict:
     """Run one experiment sequentially in this worker process."""
     from .. import seeding
     from ..cli import EXPERIMENTS
     from ..experiments.runner import FigureResult
-    from ..hardware.engine import set_default_engine
 
-    # The parent's run-level seed and engine choice do not cross the
-    # process boundary by themselves; re-install them so worker and
-    # sequential runs behave identically.
+    # The parent's run-level seed does not cross the process boundary
+    # by itself; re-install it so worker and sequential runs behave
+    # identically.
     seeding.set_seed(seed)
-    if engine is not None:
-        set_default_engine(engine)
     runner, _ = EXPERIMENTS[name]
     started = time.perf_counter()
     stdout = io.StringIO()

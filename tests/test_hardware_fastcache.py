@@ -1,11 +1,11 @@
 """Tests for the vectorized trace engine (repro.hardware.fastcache).
 
 The fast engine's contract is *bit-identical* behaviour to the
-reference loop; the unit tests here pin the individual semantics
-(LRU, CAT confinement, prefetch accounting, stream re-branding,
-lazy CLOS errors) and the engine plumbing (factory, digest,
-snapshot/restore, sampling).  Cross-engine equivalence on random
-traces lives in ``test_hardware_fastcache_properties.py``.
+reference loop, its oracle; the unit tests here pin the individual
+semantics (LRU, CAT confinement, prefetch accounting, stream
+re-branding, lazy CLOS errors), the state digest and sampling.
+Equivalence with the oracle on random traces lives in
+``test_hardware_fastcache_properties.py``.
 """
 
 import numpy as np
@@ -13,15 +13,8 @@ import pytest
 
 from repro.config import CacheSpec, SystemSpec
 from repro.errors import CatError, ConfigError
-from repro.hardware.cache import SetAssociativeCache
+from repro.hardware.cache import SetAssociativeCache, cache_state_digest
 from repro.hardware.cat import CatController
-from repro.hardware.engine import (
-    cache_state_digest,
-    engine_scope,
-    get_default_engine,
-    make_cache,
-    set_default_engine,
-)
 from repro.hardware.fastcache import (
     FastSetAssociativeCache,
     SamplingPlan,
@@ -48,8 +41,8 @@ def make_cat(ways: int = 4, clos_masks: dict[int, int] | None = None):
 class TestBasicBehaviour:
     def test_miss_then_hit(self, tiny_cache_spec):
         cache = FastSetAssociativeCache(tiny_cache_spec)
-        assert cache.access(0x40) is False
-        assert cache.access(0x40) is True
+        assert cache.access_batch([0x40]).tolist() == [False]
+        assert cache.access_batch([0x40]).tolist() == [True]
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
 
@@ -86,13 +79,9 @@ class TestBasicBehaviour:
         assert delta.evictions == 2
         assert cache.stats.evictions == 2
 
-    def test_invalidate_and_flush(self, tiny_cache_spec):
+    def test_flush_empties_lines_and_stats(self, tiny_cache_spec):
         cache = FastSetAssociativeCache(tiny_cache_spec)
-        cache.access(0x80)
-        assert cache.invalidate(0x80 // LINE) is True
-        assert not cache.contains(0x80)
-        assert cache.invalidate(0x80 // LINE) is False
-        cache.access(0x40)
+        cache.access_batch([0x40, 0x80])
         cache.flush()
         assert cache.valid_lines() == 0
         assert cache.stats.accesses == 0
@@ -123,8 +112,7 @@ class TestStreamsAndPrefetch:
 
     def test_demand_hit_rebrands_stream(self, tiny_cache_spec):
         cache = FastSetAssociativeCache(tiny_cache_spec)
-        cache.access(0x40, stream="old")
-        cache.access(0x40, stream="new")
+        cache.access_batch([0x40, 0x40], stream=["old", "new"])
         assert cache.occupancy_by_stream() == {"new": 1}
 
     def test_empty_label_does_not_rebrand(self, tiny_cache_spec):
@@ -133,14 +121,15 @@ class TestStreamsAndPrefetch:
         ref = SetAssociativeCache(tiny_cache_spec)
         fast = FastSetAssociativeCache(tiny_cache_spec)
         for cache in (ref, fast):
-            cache.access(0x40, stream="old")
-            cache.access(0x40, stream="")
+            cache.access_batch([0x40, 0x40], stream=["old", ""])
         assert ref.occupancy_by_stream() == fast.occupancy_by_stream()
 
     def test_prefetch_hit_does_not_rebrand(self, tiny_cache_spec):
         cache = FastSetAssociativeCache(tiny_cache_spec)
-        cache.access(0x40, stream="owner")
-        cache.access(0x40, stream="toucher", is_prefetch=True)
+        cache.access_batch(
+            [0x40, 0x40], stream=["owner", "toucher"],
+            is_prefetch=[False, True],
+        )
         assert cache.occupancy_by_stream() == {"owner": 1}
 
 
@@ -156,7 +145,7 @@ class TestCatWayMasking:
     def test_hits_allowed_anywhere(self):
         spec, cat = make_cat(ways=4, clos_masks={1: 0x3, 2: 0xC})
         cache = FastSetAssociativeCache(spec.llc, cat=cat)
-        cache.access(0x0, clos=2)  # resident in ways 2-3
+        cache.access_batch([0x0], clos=2)  # resident in ways 2-3
         hits = cache.access_batch(np.array([0x0]), clos=1)
         assert bool(hits[0]) is True
 
@@ -177,9 +166,9 @@ class TestCatWayMasking:
         # unconfigured CLOS is fine, the first miss raises.  The batch
         # engine must preserve both halves of that behaviour.
         spec, cat = make_cat(ways=4, clos_masks={1: 0x3})
-        for engine in ("ref", "fast"):
-            cache = make_cache(spec.llc, cat=cat, engine=engine)
-            cache.access(0x0, clos=1)
+        for cls in (SetAssociativeCache, FastSetAssociativeCache):
+            cache = cls(spec.llc, cat=cat)
+            cache.access_batch([0x0], clos=1)
             hits = cache.access_batch(np.array([0x0]), clos=9)  # hit: ok
             assert bool(hits[0]) is True
             with pytest.raises(CatError):
@@ -195,28 +184,6 @@ class TestCatWayMasking:
             cache.access_batch(np.arange(8) * LINE, clos=7)
         assert cache_state_digest(cache) == digest
         assert vars(cache.stats) == stats
-
-
-class TestEvictionCallbacks:
-    def test_eviction_events_fire_in_trace_order(self, tiny_cache_spec):
-        events_fast, events_ref = [], []
-        fast = FastSetAssociativeCache(
-            tiny_cache_spec, on_evict=events_fast.append
-        )
-        ref = SetAssociativeCache(
-            tiny_cache_spec, on_evict=events_ref.append
-        )
-        sets = tiny_cache_spec.sets
-        trace = np.arange(9) * sets * LINE
-        fast.access_batch(trace)
-        for addr in trace:
-            ref.access(int(addr))
-        assert [e.line_addr for e in events_fast] == \
-            [e.line_addr for e in events_ref]
-        assert [e.stream for e in events_fast] == \
-            [e.stream for e in events_ref]
-        assert [e.clos for e in events_fast] == \
-            [e.clos for e in events_ref]
 
 
 class TestGroupingFallback:
@@ -241,64 +208,16 @@ class TestGroupingFallback:
 
 
 class TestEngineSelection:
-    def test_make_cache_classes(self, tiny_cache_spec):
-        assert isinstance(
-            make_cache(tiny_cache_spec, engine="ref"),
-            SetAssociativeCache,
-        )
-        assert isinstance(
-            make_cache(tiny_cache_spec, engine="fast"),
-            FastSetAssociativeCache,
-        )
-
-    def test_unknown_engine_rejected(self, tiny_cache_spec):
-        with pytest.raises(ConfigError):
-            make_cache(tiny_cache_spec, engine="warp")
-        with pytest.raises(ConfigError):
-            set_default_engine("warp")
-
-    def test_engine_scope_restores_default(self, tiny_cache_spec):
-        before = get_default_engine()
-        other = "ref" if before == "fast" else "fast"
-        with engine_scope(other):
-            assert get_default_engine() == other
-            assert isinstance(
-                make_cache(tiny_cache_spec),
-                SetAssociativeCache if other == "ref"
-                else FastSetAssociativeCache,
-            )
-        assert get_default_engine() == before
-
     def test_digest_equal_across_engines(self, tiny_cache_spec, rng):
         addrs = rng.integers(0, 1 << 12, size=500) * LINE
         caches = [
-            make_cache(tiny_cache_spec, engine=engine)
-            for engine in ("ref", "fast")
+            cls(tiny_cache_spec)
+            for cls in (SetAssociativeCache, FastSetAssociativeCache)
         ]
         for cache in caches:
             cache.access_batch(addrs, stream="s")
         assert cache_state_digest(caches[0]) == \
             cache_state_digest(caches[1])
-
-
-class TestSnapshotRestore:
-    def test_restore_rewinds_everything(self, tiny_cache_spec, rng):
-        cache = FastSetAssociativeCache(tiny_cache_spec)
-        cache.access_batch(
-            rng.integers(0, 1 << 10, size=200) * LINE, stream="a"
-        )
-        snap = cache.snapshot()
-        digest = cache_state_digest(cache)
-        stats = vars(cache.stats).copy()
-        cache.access_batch(
-            rng.integers(0, 1 << 10, size=300) * LINE, stream="b"
-        )
-        cache.restore(snap)
-        assert cache_state_digest(cache) == digest
-        assert vars(cache.stats) == stats
-        # Replay after restore behaves as if the rolled-back batch
-        # never happened.
-        assert cache.access(0x7FFF * LINE) is False
 
 
 class TestSampling:
@@ -323,8 +242,8 @@ class TestSampling:
 
     def test_sampling_deterministic_across_engines(self, tiny_cache_spec):
         results = []
-        for engine in ("ref", "fast"):
-            cache = make_cache(tiny_cache_spec, engine=engine)
+        for cls in (SetAssociativeCache, FastSetAssociativeCache):
+            cache = cls(tiny_cache_spec)
             addrs = (np.arange(600) % 96) * LINE
             plan = SamplingPlan(window=64, period=3)
             measured, info = replay_sampled(cache, addrs, plan)

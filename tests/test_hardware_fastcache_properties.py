@@ -1,11 +1,13 @@
-"""Property-based cross-engine equivalence (hypothesis).
+"""Property-based equivalence of the fast engine and its oracle
+(hypothesis).
 
-The fast engine's contract is *bit-identical* behaviour: for any
-trace — random addresses, random contiguous CLOS masks, stream
-labels, prefetch flags, mask reprogramming mid-trace — the reference
-loop and the vectorized batch replay must produce identical
-per-access hit results, identical statistics (including evictions)
-and identical final cache contents.
+The fast engine's contract is *bit-identical* behaviour to the
+reference cache, both built here by class name: for any trace —
+random addresses, random contiguous CLOS masks, stream labels,
+prefetch flags, mask reprogramming mid-trace — the reference loop and
+the vectorized batch replay must produce identical per-access hit
+results, identical statistics (including evictions) and identical
+final cache contents.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheSpec, SystemSpec
-from repro.hardware.cache import SetAssociativeCache
+from repro.hardware.cache import SetAssociativeCache, cache_state_digest
 from repro.hardware.cat import CatController
-from repro.hardware.engine import cache_state_digest
 from repro.hardware.fastcache import FastSetAssociativeCache
 from repro.units import KiB
 
@@ -152,30 +153,3 @@ def test_engines_agree_without_cat(events):
     fast = FastSetAssociativeCache(spec)
     ref_hits, fast_hits = _replay_both(ref, fast, events)
     _assert_equivalent(ref, fast, ref_hits, fast_hits)
-
-
-@given(events=events_strategy)
-@settings(max_examples=40, deadline=None)
-def test_scalar_and_batch_paths_agree(events):
-    """The fast engine's own scalar `access` is the same machine as
-    its batch replay."""
-    spec = CacheSpec(8 * 4 * LINE, 4)
-    one = FastSetAssociativeCache(spec)
-    batch = FastSetAssociativeCache(spec)
-    scalar_hits = [
-        one.access(line * LINE, clos=0, stream=stream,
-                   is_prefetch=prefetch)
-        for line, _, stream, prefetch in events
-    ]
-    batch_hits = batch.access_batch(
-        np.array([line * LINE for line, _, _, _ in events], np.int64),
-        stream=np.array(
-            [stream for _, _, stream, _ in events], dtype=object
-        ),
-        is_prefetch=np.array(
-            [prefetch for _, _, _, prefetch in events], bool
-        ),
-    )
-    assert scalar_hits == batch_hits.tolist()
-    assert vars(one.stats) == vars(batch.stats)
-    assert sorted(one.iter_lines()) == sorted(batch.iter_lines())

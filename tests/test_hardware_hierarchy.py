@@ -121,98 +121,23 @@ def _mixed_trace(rng, accesses=6000):
     return trace
 
 
-def _hierarchy_digests(hierarchy):
-    from repro.hardware.engine import cache_state_digest
-
-    return (
-        cache_state_digest(hierarchy.llc),
-        tuple(
-            cache_state_digest(hierarchy.l1(core))
-            for core in range(hierarchy.spec.cores)
-        ),
-        tuple(
-            cache_state_digest(hierarchy.l2(core))
-            for core in range(hierarchy.spec.cores)
-        ),
-    )
-
-
-class TestBatchedReplay:
-    """The staged/batched fast-engine path vs the per-access truth."""
-
-    def _run(self, small_spec, trace, engine, prefetcher=None, cat=None):
-        hierarchy = CacheHierarchy(
-            small_spec,
-            cat=cat,
-            prefetcher=prefetcher,
-            engine=engine,
-        )
-        levels = hierarchy.run_trace(0, trace)
-        return hierarchy, levels
-
-    def test_matches_reference_engine(self, small_spec, rng):
-        trace = _mixed_trace(rng)
-        ref, ref_levels = self._run(small_spec, trace, "ref")
-        fast, fast_levels = self._run(small_spec, trace, "fast")
-        assert ref_levels == fast_levels
-        assert ref.dram_accesses == fast.dram_accesses
-        assert _hierarchy_digests(ref) == _hierarchy_digests(fast)
-
-    def test_matches_reference_with_prefetcher(self, small_spec, rng):
-        trace = _mixed_trace(rng)
-        ref, ref_levels = self._run(
-            small_spec, trace, "ref",
-            prefetcher=StreamPrefetcher(trigger_length=2, degree=4),
-        )
-        fast, fast_levels = self._run(
-            small_spec, trace, "fast",
-            prefetcher=StreamPrefetcher(trigger_length=2, degree=4),
-        )
-        assert ref_levels == fast_levels
-        assert ref.dram_accesses == fast.dram_accesses
-        assert _hierarchy_digests(ref) == _hierarchy_digests(fast)
-
-    def test_matches_reference_under_cat(self, small_spec, rng):
-        trace = _mixed_trace(rng)
-        results = []
-        for engine in ("ref", "fast"):
-            cat = CatController(small_spec)
-            cat.set_clos_mask(1, 0x3)
-            cat.assign_core(0, 1)
-            hierarchy, levels = self._run(
-                small_spec, trace, engine, cat=cat
-            )
-            results.append((levels, _hierarchy_digests(hierarchy)))
-        assert results[0] == results[1]
-        assert results[0][0]["DRAM"] > 0
-
-    def test_conflicting_chunk_falls_back_and_stays_exact(
-        self, small_spec
-    ):
-        # Thrash one LLC set so lines resident in L1 are evicted from
-        # the LLC *within* a chunk: staging cannot be exact, the chunk
-        # must rewind to the per-access path (counted as a fallback).
-        sets = small_spec.llc.sets
-        lines = list(range(small_spec.llc.ways + 4)) * 3
-        trace = [MemoryAccess(i * sets * 64, "thrash") for i in lines]
-        with runtime.observing() as (_, metrics):
-            fast, fast_levels = self._run(small_spec, trace, "fast")
-            fallbacks = metrics.counter("sim.trace.fallbacks").value
-        ref, ref_levels = self._run(small_spec, trace, "ref")
-        assert fallbacks > 0
-        assert ref_levels == fast_levels
-        assert _hierarchy_digests(ref) == _hierarchy_digests(fast)
-
-    def test_sampled_run_trace_deterministic_across_engines(
-        self, small_spec, rng
-    ):
+class TestSampledReplay:
+    def test_sampled_run_trace_is_deterministic(self, small_spec, rng):
         trace = _mixed_trace(rng, accesses=4000)
         plan = SamplingPlan(window=500, period=2, warmup_fraction=0.5)
         results = []
-        for engine in ("ref", "fast"):
-            hierarchy = CacheHierarchy(small_spec, engine=engine)
-            levels = hierarchy.run_trace(0, trace, sample=plan)
-            results.append((levels, hierarchy.dram_accesses))
+        for _ in range(2):
+            hierarchy = CacheHierarchy(small_spec)
+            with runtime.observing() as (_, metrics):
+                levels = hierarchy.run_trace(0, trace, sample=plan)
+            results.append((
+                levels,
+                hierarchy.dram_accesses,
+                metrics.counter("sim.trace.sampled_windows").value,
+                metrics.counter("sim.trace.skipped_windows").value,
+            ))
         assert results[0] == results[1]
-        # Half the windows were skipped entirely.
-        assert sum(results[0][0].values()) < len(trace)
+        assert results[0][2:] == (4, 4)
+        # Half the windows were skipped entirely and the warmup half
+        # of each simulated window is not counted.
+        assert sum(results[0][0].values()) == 4 * 250
