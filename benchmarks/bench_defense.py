@@ -19,8 +19,9 @@ thrasher from t=1s at 20 req/s) and asserts the two defense gates:
 A determinism check runs the defended config twice and requires
 byte-identical reports before any number is trusted.
 
-Every run appends one record to ``BENCH_defense.json`` at the repo
-root so the numbers form a trajectory across commits.
+Every passing run appends one record to ``BENCH_defense.json`` at the
+repo root so the numbers form a trajectory across commits; a failing
+run leaves it alone.
 """
 
 from __future__ import annotations
@@ -137,7 +138,6 @@ def test_defense_protects_victims():
         "false_positives": defense["false_positives"],
         "jail_seconds": defense["jail_seconds"],
     }
-    _append_trajectory(record)
     print(f"bench_defense: {json.dumps(record)}")
 
     assert defense["convicted_groups"] == ["thrash"], defense
@@ -147,6 +147,7 @@ def test_defense_protects_victims():
         f"{ratio:.2f}x the undefended {off_p99:.3f}s, "
         f"need <= {MAX_DEFENDED_P99_RATIO}x"
     )
+    _append_trajectory(record)
 
 
 def test_defense_off_overhead():
@@ -185,7 +186,6 @@ def test_defense_off_overhead():
             None if baseline is None else round(baseline, 1)
         ),
     }
-    _append_trajectory(record)
     print(f"bench_defense off: {json.dumps(record)}")
 
     assert report.defense == {
@@ -200,10 +200,11 @@ def test_defense_off_overhead():
             "bench_defense: no recorded 4-node rate in "
             "BENCH_serve.json — overhead gate skipped"
         )
-        return
-    floor = baseline * MIN_OFF_RATE_RATIO
-    assert rate >= floor, (
-        f"defense-off overhead: {rate:.0f} requests/s, below "
-        f"{floor:.0f} ({MIN_OFF_RATE_RATIO}x the recorded "
-        f"{baseline:.0f})"
-    )
+    else:
+        floor = baseline * MIN_OFF_RATE_RATIO
+        assert rate >= floor, (
+            f"defense-off overhead: {rate:.0f} requests/s, below "
+            f"{floor:.0f} ({MIN_OFF_RATE_RATIO}x the recorded "
+            f"{baseline:.0f})"
+        )
+    _append_trajectory(record)

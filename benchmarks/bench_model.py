@@ -16,8 +16,9 @@ calls per wall second) alongside one counted pass's ``che.solves`` and
 fixed-point rounds.  Gate: ``solves_per_s`` >= ``BASELINE_SLACK`` x the
 last record (no gate on the first record).
 
-Every run appends one record to ``BENCH_model.json`` at the repo root
-so the numbers form a trajectory across commits.
+Every passing run appends one record to ``BENCH_model.json`` at the
+repo root so the numbers form a trajectory across commits; a failing
+run leaves it alone, so it cannot lower the next floor.
 """
 
 from __future__ import annotations
@@ -96,16 +97,16 @@ def test_model_solve_rate():
         "che_solves": che_solves,
         "fixed_point_rounds": rounds,
     }
+    print(f"bench_model: {json.dumps(record)}")
+
+    if history:
+        floor = history[-1]["solves_per_s"] * BASELINE_SLACK
+        assert solves_per_s >= floor, (
+            f"model solve: {solves_per_s:.0f} simulate calls/s, below "
+            f"{floor:.0f} ({BASELINE_SLACK}x the last recorded "
+            f"{history[-1]['solves_per_s']:.0f})"
+        )
     history.append(record)
     TRAJECTORY.write_text(
         json.dumps(history, indent=2) + "\n", encoding="utf-8"
     )
-    print(f"bench_model: {json.dumps(record)}")
-
-    if len(history) > 1:
-        floor = history[-2]["solves_per_s"] * BASELINE_SLACK
-        assert solves_per_s >= floor, (
-            f"model solve: {solves_per_s:.0f} simulate calls/s, below "
-            f"{floor:.0f} ({BASELINE_SLACK}x the last recorded "
-            f"{history[-2]['solves_per_s']:.0f})"
-        )

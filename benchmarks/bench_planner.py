@@ -18,8 +18,9 @@ Assertions:
   at >= ``BASELINE_SLACK`` of the speed in the last record that
   carries both (the first record with them gates nothing).
 
-Every run appends one record to ``BENCH_planner.json`` at the repo
-root so the timings form a trajectory across commits.
+Every passing run appends one record to ``BENCH_planner.json`` at the
+repo root so the timings form a trajectory across commits; a failing
+run leaves it alone, so it cannot lower the next floor.
 """
 
 from __future__ import annotations
@@ -181,7 +182,6 @@ def test_batched_scoring_and_beam_tick_speedups():
         "beam_tick_warm_ms": round(warm_tick_s * 1e3, 3),
         "beam_candidates_per_tick": tick_candidates,
     }
-    _append_trajectory(record)
     print(f"bench_planner: {json.dumps(record)}")
 
     assert tick_candidates >= MIN_BEAM_CANDIDATES, (
@@ -190,14 +190,15 @@ def test_batched_scoring_and_beam_tick_speedups():
     )
     if baseline is None:
         print("bench_planner: first record with gated fields, no gate")
-        return
-    for field, current in (
-        ("score_many_us_per_candidate", per_candidate_us),
-        ("beam_tick_warm_ms", warm_tick_s * 1e3),
-    ):
-        ceiling = baseline[field] / BASELINE_SLACK
-        assert current <= ceiling, (
-            f"{field}: {current:.3f} exceeds {ceiling:.3f} "
-            f"({BASELINE_SLACK}x the speed of the last recorded "
-            f"{baseline[field]:.3f})"
-        )
+    else:
+        for field, current in (
+            ("score_many_us_per_candidate", per_candidate_us),
+            ("beam_tick_warm_ms", warm_tick_s * 1e3),
+        ):
+            ceiling = baseline[field] / BASELINE_SLACK
+            assert current <= ceiling, (
+                f"{field}: {current:.3f} exceeds {ceiling:.3f} "
+                f"({BASELINE_SLACK}x the speed of the last recorded "
+                f"{baseline[field]:.3f})"
+            )
+    _append_trajectory(record)

@@ -35,8 +35,9 @@ epoch-parallel rows at N=8/16 with a ``fleet_jobs=4`` speedup gate
 A determinism check runs the baseline config twice and requires
 byte-identical reports before any timing is trusted.
 
-Every run appends one record to ``BENCH_serve.json`` at the repo root
-so the numbers form a trajectory across commits.
+Every passing test appends one record to ``BENCH_serve.json`` at the
+repo root so the numbers form a trajectory across commits; a failing
+test leaves it alone, so it cannot lower the next floor.
 """
 
 from __future__ import annotations
@@ -170,7 +171,6 @@ def test_serve_event_rate_and_controller_overhead():
         ],
         "rate_cache_entries": len(rate_cache),
     }
-    _append_trajectory(record)
     print(f"bench_serve: {json.dumps(record)}")
 
     if baseline is not None:
@@ -194,6 +194,7 @@ def test_serve_event_rate_and_controller_overhead():
         f"the uncontrolled run ({adaptive_s:.3f}s vs {none_s:.3f}s), "
         f"need <= {MAX_CONTROLLER_OVERHEAD:.0f}x"
     )
+    _append_trajectory(record)
 
 
 CLUSTER_NODE_COUNTS = (1, 2, 4)
@@ -279,7 +280,6 @@ def test_cluster_fleet_scaling():
         "config": {k: CLUSTER_BASE[k] for k in sorted(CLUSTER_BASE)},
         "cluster_scaling": scaling,
     }
-    _append_trajectory(record)
     print(f"bench_serve cluster: {json.dumps(record)}")
 
     for row in scaling:
@@ -304,6 +304,7 @@ def test_cluster_fleet_scaling():
             f"{floor:.0f} ({BASELINE_SLACK}x the last recorded "
             f"{baseline_n4:.0f})"
         )
+    _append_trajectory(record)
 
 
 # Epoch-parallel gates: with >= 4 CPUs, a 4-worker hash-router fleet
@@ -386,7 +387,6 @@ def test_cluster_epoch_parallel_scaling():
         "fleet_jobs": PARALLEL_FLEET_JOBS,
         "cluster_parallel": scaling,
     }
-    _append_trajectory(record)
     print(f"bench_serve epoch-parallel: {json.dumps(record)}")
 
     for row in scaling:
@@ -406,6 +406,7 @@ def test_cluster_epoch_parallel_scaling():
             f"{PARALLEL_FLEET_JOBS} workers without asserting the "
             f">= {MIN_PARALLEL_FLEET_SPEEDUP:.0f}x bound"
         )
+    _append_trajectory(record)
 
 
 # Planned-vs-reactive row: the ext-planner scenario (diurnal
@@ -466,7 +467,6 @@ def test_cluster_planned_vs_reactive():
             "reactive_wall_s": round(reactive_s, 4),
         },
     }
-    _append_trajectory(record)
     print(f"bench_serve planned: {json.dumps(record)}")
 
     assert planned.completed > 0 and reactive.completed > 0
@@ -474,6 +474,7 @@ def test_cluster_planned_vs_reactive():
         f"planned fleet OLAP p99 regressed past reactive: "
         f"{planned_p99:.3f}s vs {reactive_p99:.3f}s"
     )
+    _append_trajectory(record)
 
 
 SAMPLED_SMOKE = dict(
@@ -521,7 +522,6 @@ def test_serve_sampled_trace_smoke():
         "events_per_s": round(events / elapsed, 1),
         "completed_per_s": round(report.completed / elapsed, 1),
     }
-    _append_trajectory(record)
     print(f"bench_serve sampled: {json.dumps(record)}")
 
     assert report.arrived > 0
@@ -533,3 +533,4 @@ def test_serve_sampled_trace_smoke():
         f"sampled trace smoke took {elapsed:.1f}s, "
         f"need <= {MAX_SAMPLED_SMOKE_WALL_S:.0f}s"
     )
+    _append_trajectory(record)

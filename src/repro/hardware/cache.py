@@ -8,22 +8,20 @@ model in :mod:`repro.model`.  It implements:
 * CAT semantics: a request tagged with a class of service (CLOS) may
   *hit* on any way, but on a miss the victim is chosen only among the
   ways enabled in the CLOS's capacity bitmask,
-* per-stream and per-CLOS hit/miss statistics,
-* eviction callbacks so an inclusive hierarchy can back-invalidate.
+* uncounted prefetch fills,
+* per-stream and per-CLOS hit/miss statistics.
 
 The simulator is deliberately straightforward Python: it is the oracle
 the vectorized engine (:mod:`repro.hardware.fastcache`) is tested
-against, the cache of the per-access :class:`CacheHierarchy
-<repro.hardware.hierarchy.CacheHierarchy>`, and the substrate for
-cross-validating the analytic model on scaled-down geometries — not
-for simulating billions of accesses.
+against and the substrate for cross-validating the analytic model on
+scaled-down geometries — not for simulating billions of accesses.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -57,15 +55,6 @@ class CacheStats:
         self.evictions += other.evictions
 
 
-@dataclass(frozen=True)
-class EvictionEvent:
-    """Describes a line evicted from the cache (for inclusivity hooks)."""
-
-    line_addr: int
-    stream: Optional[str]
-    clos: int
-
-
 @dataclass
 class _Line:
     tag: int = -1
@@ -88,14 +77,10 @@ class SetAssociativeCache:
     """
 
     def __init__(
-        self,
-        spec: CacheSpec,
-        cat: Optional[CatController] = None,
-        on_evict: Optional[Callable[[EvictionEvent], None]] = None,
+        self, spec: CacheSpec, cat: Optional[CatController] = None
     ) -> None:
         self._spec = spec
         self._cat = cat
-        self._on_evict = on_evict
         self._sets: list[list[_Line]] = [
             [_Line() for _ in range(spec.ways)] for _ in range(spec.sets)
         ]
@@ -208,10 +193,6 @@ class SetAssociativeCache:
                 self.stats_by_stream.setdefault(
                     victim.stream, CacheStats()
                 ).evictions += 1
-            if self._on_evict is not None:
-                self._on_evict(
-                    EvictionEvent(victim.tag, victim.stream, victim.clos)
-                )
         victim.tag = line_addr
         victim.stamp = self._clock
         victim.stream = stream
@@ -273,16 +254,6 @@ class SetAssociativeCache:
         line_addr = self._line_addr(addr)
         cache_set = self._sets[self._set_index(line_addr)]
         return any(l.valid and l.tag == line_addr for l in cache_set)
-
-    def invalidate(self, line_addr: int) -> bool:
-        """Drop a line (by *line* address); True if it was present."""
-        cache_set = self._sets[self._set_index(line_addr)]
-        for line in cache_set:
-            if line.valid and line.tag == line_addr:
-                line.tag = -1
-                line.stream = None
-                return True
-        return False
 
     def occupancy_by_stream(self) -> dict[str, int]:
         """Number of valid lines currently owned by each stream label."""

@@ -5,12 +5,9 @@ reference [31]): each thread is tagged with a *resource monitoring ID*
 (RMID); the hardware tracks per-RMID LLC occupancy and, with MBM,
 memory traffic.  The paper proposes CAT schemes derived offline; CMT is
 what enables the *online* classification its related-work section
-points to (miss-ratio models).  We model CMT on both substrates:
-
-* on the trace-driven cache, occupancy comes from per-stream line
-  counts,
-* on the analytic side, :class:`CmtSample` wraps the simulator's
-  per-region occupancies and counter rates.
+points to (miss-ratio models).  :class:`CmtSample` is one such
+reading, built from the analytic simulator's per-region occupancies and
+counter rates.
 
 Used by :mod:`repro.core.online` to classify operators into CUID
 categories without a-priori knowledge.
@@ -19,9 +16,6 @@ categories without a-priori knowledge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from ..errors import CatError
-from .cache import SetAssociativeCache
 
 
 @dataclass(frozen=True)
@@ -39,51 +33,3 @@ class CmtSample:
         if self.llc_references <= 0:
             return 0.0
         return self.llc_misses / self.llc_references
-
-
-class CmtController:
-    """RMID allocation and occupancy readout for the trace substrate."""
-
-    def __init__(self, num_rmids: int = 32) -> None:
-        if num_rmids <= 0:
-            raise CatError(f"num_rmids must be > 0: {num_rmids}")
-        self._num_rmids = num_rmids
-        self._thread_rmid: dict[int, int] = {}
-        self._free = list(range(1, num_rmids))  # RMID 0 = default
-
-    def assign_rmid(self, tid: int) -> int:
-        """Tag a thread with a fresh RMID (idempotent per thread)."""
-        if tid in self._thread_rmid:
-            return self._thread_rmid[tid]
-        if not self._free:
-            raise CatError(
-                f"out of RMIDs (hardware limit {self._num_rmids})"
-            )
-        rmid = self._free.pop(0)
-        self._thread_rmid[tid] = rmid
-        return rmid
-
-    def release_rmid(self, tid: int) -> None:
-        rmid = self._thread_rmid.pop(tid, None)
-        if rmid is not None:
-            self._free.append(rmid)
-            self._free.sort()
-
-    def rmid_of(self, tid: int) -> int:
-        return self._thread_rmid.get(tid, 0)
-
-    def read_occupancy(
-        self, cache: SetAssociativeCache, stream: str, tid: int
-    ) -> CmtSample:
-        """Occupancy/miss reading for a thread's stream on the exact
-        simulator (streams stand in for RMID tagging there)."""
-        occupancy_lines = cache.occupancy_by_stream().get(stream, 0)
-        stats = cache.stats_by_stream.get(stream)
-        references = stats.accesses if stats else 0
-        misses = stats.misses if stats else 0
-        return CmtSample(
-            rmid=self.rmid_of(tid),
-            llc_occupancy_bytes=occupancy_lines * cache.spec.line_bytes,
-            llc_references=references,
-            llc_misses=misses,
-        )

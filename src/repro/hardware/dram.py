@@ -1,4 +1,4 @@
-"""DRAM latency/bandwidth model with contention arbitration.
+"""DRAM bandwidth contention arbitration.
 
 The paper's concurrent experiments are shaped by two memory effects:
 LLC capacity conflicts (handled by the cache/occupancy models) and DRAM
@@ -14,32 +14,7 @@ among saturating streams while light streams are unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..config import DramSpec
 from ..errors import ModelError
-
-
-@dataclass(frozen=True)
-class DramModel:
-    """Latency and peak-bandwidth wrapper around :class:`DramSpec`."""
-
-    spec: DramSpec
-
-    @property
-    def latency_s(self) -> float:
-        return self.spec.latency_s
-
-    @property
-    def peak_bandwidth(self) -> float:
-        return self.spec.bandwidth_bytes_per_s
-
-    def transfer_time(self, num_bytes: float, bandwidth: float = 0.0) -> float:
-        """Seconds to stream ``num_bytes`` at ``bandwidth`` (peak if 0)."""
-        if num_bytes < 0:
-            raise ModelError(f"byte count must be >= 0: {num_bytes}")
-        rate = bandwidth if bandwidth > 0 else self.peak_bandwidth
-        return num_bytes / rate
 
 
 class BandwidthArbiter:

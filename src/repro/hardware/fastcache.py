@@ -32,16 +32,10 @@ or streaming traces over a realistic geometry (2048 sets) replay at
 tens of millions of accesses per second, versus a few hundred thousand
 for the per-access reference loop.  A trace hammering one single set
 degenerates to scalar behaviour — exactness is never traded for speed.
-
-For traces too long even for the fast engine, :func:`replay_sampled`
-implements interval sampling: only every k-th window is simulated, and
-a leading warmup slice of each simulated window rebuilds cache state
-but is excluded from the measured statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -665,82 +659,3 @@ class FastSetAssociativeCache:
         self._streams.fill(NO_STREAM)
         self.reset_stats()
 
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Interval-sampling schedule for very long traces.
-
-    The trace is cut into fixed-size windows of ``window`` accesses;
-    only every ``period``-th window is simulated and the leading
-    ``warmup_fraction`` of each simulated window rebuilds cache state
-    without contributing to the measured statistics (classic
-    warmup-discard, cf. the sampled-simulation literature in
-    PAPERS.md).  ``period=1`` degrades to plain windowed replay with
-    warmup discard only.
-    """
-
-    window: int
-    period: int = 10
-    warmup_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise CacheConfigError(
-                f"sampling window must be > 0: {self.window}"
-            )
-        if self.period < 1:
-            raise CacheConfigError(
-                f"sampling period must be >= 1: {self.period}"
-            )
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise CacheConfigError(
-                "warmup fraction must be in [0, 1): "
-                f"{self.warmup_fraction}"
-            )
-
-    @property
-    def warmup_accesses(self) -> int:
-        return int(self.window * self.warmup_fraction)
-
-
-def replay_sampled(
-    cache,
-    addrs,
-    plan: SamplingPlan,
-    clos: int = 0,
-    stream: Optional[str] = None,
-) -> tuple[CacheStats, dict]:
-    """Replay ``addrs`` under an interval-sampling plan.
-
-    Works with either cache class (it only uses ``access_many``).  Returns
-    the measured :class:`CacheStats` (warmup and skipped accesses
-    excluded) and an info dict with the window accounting, so callers
-    can scale estimates back to full-trace magnitudes.
-    """
-    addrs = np.asarray(addrs, dtype=np.int64)
-    measured = CacheStats()
-    windows = simulated = 0
-    skipped_accesses = 0
-    for start in range(0, len(addrs), plan.window):
-        window = addrs[start:start + plan.window]
-        if windows % plan.period:
-            skipped_accesses += len(window)
-        else:
-            simulated += 1
-            warmup = min(plan.warmup_accesses, len(window))
-            cache.access_many(window[:warmup], clos=clos, stream=stream)
-            measured.merge(
-                cache.access_many(
-                    window[warmup:], clos=clos, stream=stream
-                )
-            )
-        windows += 1
-    metrics = runtime.metrics
-    metrics.counter("sim.trace.sampled_windows").inc(simulated)
-    metrics.counter("sim.trace.skipped_windows").inc(windows - simulated)
-    return measured, {
-        "windows": windows,
-        "simulated_windows": simulated,
-        "skipped_accesses": skipped_accesses,
-        "measured_accesses": measured.accesses,
-    }

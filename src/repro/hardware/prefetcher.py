@@ -7,9 +7,12 @@ hiding DRAM latency and leaving only a bandwidth constraint.
 
 This module models the Intel L2 streamer at the level of detail the
 experiments need: per-stream detection of ascending line sequences with
-a confidence threshold and a configurable prefetch distance.  It is used
-by the trace-driven hierarchy; the analytic model represents the same
-effect as "sequential traffic is bandwidth-bound, not latency-bound".
+a confidence threshold and a configurable prefetch distance.  Its
+demand+prefetch schedules are replayed through both trace caches to
+check the prefetch-width rule the analytic model encodes
+(:meth:`repro.model.latency.LatencyModel.streaming_latency_bound`),
+where the same effect appears as "sequential traffic is
+bandwidth-bound, not latency-bound".
 """
 
 from __future__ import annotations

@@ -7,9 +7,13 @@ effects matter for the paper's shapes:
   stall = latency / MLP (memory-level parallelism),
 * sequential streams are latency-insensitive because the stream
   prefetcher runs ahead — they are costed by bandwidth, not latency
-  (handled in the simulator), *unless* the CAT mask is a single way:
-  with one usable way per set, prefetched lines evict each other before
-  consumption, so streaming falls back to demand-latency mode.  This
+  (handled in the simulator), *unless* the CAT mask is too narrow for
+  the streams sharing it: ``k`` set-aligned streams in one class of
+  service need at least ``k`` ways, or each stream's prefetch fills
+  evict the others' before the demand arrives and streaming falls
+  back to demand-latency mode.  A lone stream, or streams in distinct
+  sets, keep their prefetches even in one way.  The model assumes two
+  set-aligned streams per class (``min_prefetch_ways``), which
   reproduces the paper's observation that mask ``0x1`` "degrades
   performance severely — even for Query 1" (Sec. V-B),
 * under DRAM-bandwidth saturation, miss latency inflates by the queueing
@@ -85,9 +89,13 @@ class LatencyModel:
     def streaming_latency_bound(self, allocated_ways: int) -> bool:
         """True when the CAT mask is too narrow for prefetching to work.
 
-        With fewer than ``min_prefetch_ways`` usable ways per set, the
-        prefetcher's fills collide with in-flight demand lines and the
-        stream degrades to demand-latency access.
+        ``k`` set-aligned streams in one class of service lose their
+        prefetches under a mask narrower than ``k`` ways: each stream's
+        fills evict the others' before the demand arrives, and the
+        stream degrades to demand-latency access.  ``min_prefetch_ways``
+        is that ``k``; the default 2 models a pair of aligned streams.
+        The trace caches measure the rule
+        (``tests/test_hardware_prefetcher.py``).
         """
         if allocated_ways < 1:
             raise ModelError(f"allocated_ways must be >= 1: {allocated_ways}")

@@ -41,7 +41,7 @@ from .arrivals import (
     olap_heavy_mix,
     oltp_heavy_mix,
 )
-from .clock import SimulatedClock, TickingClock
+from .clock import SimulatedClock
 from .controller import AdaptiveController, ControlDecision
 from .events import Event, EventKind, EventQueue
 from .replay import ReplayArrivals, load_trace
@@ -82,7 +82,6 @@ __all__ = [
     "SloTarget",
     "SloTracker",
     "SloVerdict",
-    "TickingClock",
     "WorkloadMix",
     "build_arrivals",
     "load_trace",

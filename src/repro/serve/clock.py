@@ -1,17 +1,9 @@
-"""Deterministic simulation clocks.
+"""Deterministic simulation clock.
 
-Two flavours:
-
-* :class:`SimulatedClock` — the event loop's time source.  It only
-  moves when an event is dispatched (:meth:`SimulatedClock.advance_to`)
-  and refuses to move backwards, so every timestamp a run records is a
-  pure function of the event schedule.
-* :class:`TickingClock` — a zero-argument *callable* that advances a
-  fixed step per reading.  It satisfies the ``clock()`` contract of
-  wall-clock loop code (``time.perf_counter``-shaped), which lets
-  duration-bounded loops such as
-  :meth:`repro.workloads.driver.MixedWorkloadDriver.run_for` execute a
-  deterministic number of iterations in tests and in the service.
+:class:`SimulatedClock` is the event loop's time source.  It only moves
+when an event is dispatched (:meth:`SimulatedClock.advance_to`) and
+refuses to move backwards, so every timestamp a run records is a pure
+function of the event schedule.
 """
 
 from __future__ import annotations
@@ -46,26 +38,3 @@ class SimulatedClock:
         """Read the clock (``time.perf_counter`` shape)."""
         return self._now
 
-
-class TickingClock:
-    """A callable clock that advances ``step`` seconds per reading.
-
-    >>> clock = TickingClock(step=0.5)
-    >>> clock(), clock(), clock()
-    (0.0, 0.5, 1.0)
-    """
-
-    __slots__ = ("_now", "_step")
-
-    def __init__(self, step: float = 0.001, start: float = 0.0) -> None:
-        if step <= 0.0:
-            raise ServeError(f"step must be > 0: {step}")
-        if start < 0.0:
-            raise ServeError(f"clock must start at >= 0: {start}")
-        self._now = float(start)
-        self._step = float(step)
-
-    def __call__(self) -> float:
-        value = self._now
-        self._now += self._step
-        return value

@@ -94,20 +94,39 @@ class TestCachePartitioningSwitch:
     def test_disabled_by_default(self, db):
         assert not db.cache_partitioning_enabled
 
-    def test_enable_affects_dispatch(self, loaded_db):
+    def test_enable_affects_dispatch(self, loaded_db, spec):
         loaded_db.enable_cache_partitioning()
         loaded_db.execute("SELECT COUNT(*) FROM A WHERE A.X > ?", [1])
         assert loaded_db.scheduler.dispatch_log[-1].mask == 0x3
+        # Each operator gets its CUID's mask: the aggregation keeps the
+        # whole cache, and the join's small bit vector makes it a
+        # polluter.
+        loaded_db.execute("SELECT MAX(B.V), B.G FROM B GROUP BY B.G")
+        assert loaded_db.scheduler.dispatch_log[-1].mask == spec.full_mask
+        loaded_db.execute("SELECT COUNT(*) FROM R, S WHERE R.P = S.F")
+        assert loaded_db.scheduler.dispatch_log[-1].mask == 0x3
 
     def test_results_identical_with_partitioning(self, loaded_db):
-        baseline = loaded_db.execute(
-            "SELECT COUNT(*) FROM A WHERE A.X > ?", [100]
-        )
+        def run_all():
+            scan = loaded_db.execute(
+                "SELECT COUNT(*) FROM A WHERE A.X > ?", [100]
+            )
+            agg = loaded_db.execute(
+                "SELECT MAX(B.V), B.G FROM B GROUP BY B.G"
+            )
+            join = loaded_db.execute(
+                "SELECT COUNT(*) FROM R, S WHERE R.P = S.F"
+            )
+            return (
+                scan.matches,
+                agg.groups.tolist(),
+                agg.aggregates.tolist(),
+                join.matches,
+            )
+
+        baseline = run_all()
         loaded_db.enable_cache_partitioning()
-        partitioned = loaded_db.execute(
-            "SELECT COUNT(*) FROM A WHERE A.X > ?", [100]
-        )
-        assert partitioned.matches == baseline.matches
+        assert run_all() == baseline
 
     def test_disable_restores_full_mask(self, loaded_db, spec):
         loaded_db.enable_cache_partitioning()

@@ -363,3 +363,18 @@ class TestFig12Oltp:
         assert off_values == sorted(off_values, reverse=True)
         for columns in columns_sorted:
             assert gains[columns] - offs[columns] > 0.02
+
+
+class TestDeterminism:
+    def test_figure_results_are_deterministic(self):
+        """The whole reproduction is seeded/analytic: two runs of a
+        figure must produce byte-identical rows."""
+        first = fig09_scan_agg.run(fast=True)
+        second = fig09_scan_agg.run(fast=True)
+        assert first.rows == second.rows
+
+    def test_trace_experiment_deterministic(self):
+        from repro.experiments import ext_trace_validation
+        first = ext_trace_validation.run(fast=True)
+        second = ext_trace_validation.run(fast=True)
+        assert first.rows == second.rows

@@ -65,13 +65,6 @@ class TestBasicBehaviour:
             cache.access(int(addr) * 64)
         assert cache.valid_lines() <= capacity_lines
 
-    def test_invalidate(self, tiny_cache_spec):
-        cache = SetAssociativeCache(tiny_cache_spec)
-        cache.access(0x80)
-        assert cache.invalidate(0x80 // 64) is True
-        assert not cache.contains(0x80)
-        assert cache.invalidate(0x80 // 64) is False
-
     def test_flush(self, tiny_cache_spec):
         cache = SetAssociativeCache(tiny_cache_spec)
         cache.access(0x40)

@@ -1,65 +1,6 @@
 """Tests for the Cache Monitoring Technology model."""
 
-import pytest
-
-from repro.config import CacheSpec
-from repro.errors import CatError
-from repro.hardware.cache import SetAssociativeCache
-from repro.hardware.cmt import CmtController, CmtSample
-
-
-class TestRmids:
-    def test_assignment_idempotent(self):
-        cmt = CmtController(num_rmids=4)
-        first = cmt.assign_rmid(100)
-        second = cmt.assign_rmid(100)
-        assert first == second
-
-    def test_distinct_threads_distinct_rmids(self):
-        cmt = CmtController(num_rmids=4)
-        assert cmt.assign_rmid(1) != cmt.assign_rmid(2)
-
-    def test_default_rmid_zero(self):
-        cmt = CmtController()
-        assert cmt.rmid_of(999) == 0
-
-    def test_exhaustion(self):
-        cmt = CmtController(num_rmids=2)  # RMID 0 reserved
-        cmt.assign_rmid(1)
-        with pytest.raises(CatError):
-            cmt.assign_rmid(2)
-
-    def test_release_recycles(self):
-        cmt = CmtController(num_rmids=2)
-        rmid = cmt.assign_rmid(1)
-        cmt.release_rmid(1)
-        assert cmt.assign_rmid(2) == rmid
-
-    def test_invalid_config(self):
-        with pytest.raises(CatError):
-            CmtController(num_rmids=0)
-
-
-class TestOccupancyReadout:
-    def test_reads_stream_occupancy(self, tiny_cache_spec):
-        cache = SetAssociativeCache(tiny_cache_spec)
-        cmt = CmtController()
-        cmt.assign_rmid(55)
-        cache.access(0x0, stream="q")
-        cache.access(0x40, stream="q")
-        cache.access(0x40, stream="q")  # one hit
-        sample = cmt.read_occupancy(cache, "q", 55)
-        assert sample.llc_occupancy_bytes == 2 * 64
-        assert sample.llc_references == 3
-        assert sample.llc_misses == 2
-        assert sample.miss_ratio == pytest.approx(2 / 3)
-
-    def test_unknown_stream_reads_zero(self, tiny_cache_spec):
-        cache = SetAssociativeCache(tiny_cache_spec)
-        cmt = CmtController()
-        sample = cmt.read_occupancy(cache, "ghost", 1)
-        assert sample.llc_occupancy_bytes == 0
-        assert sample.miss_ratio == 0.0
+from repro.hardware.cmt import CmtSample
 
 
 class TestSample:

@@ -1,32 +1,12 @@
-"""Tests for the DRAM model and bandwidth arbiter."""
+"""Tests for the DRAM bandwidth arbiter."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import DramSpec
 from repro.errors import ModelError
-from repro.hardware.dram import BandwidthArbiter, DramModel
+from repro.hardware.dram import BandwidthArbiter
 from repro.units import GB
-
-
-class TestDramModel:
-    def test_transfer_time_at_peak(self):
-        model = DramModel(DramSpec())
-        assert model.transfer_time(64 * GB) == pytest.approx(1.0)
-
-    def test_transfer_time_custom_bandwidth(self):
-        model = DramModel(DramSpec())
-        assert model.transfer_time(10 * GB, 10 * GB) == pytest.approx(1.0)
-
-    def test_rejects_negative_bytes(self):
-        model = DramModel(DramSpec())
-        with pytest.raises(ModelError):
-            model.transfer_time(-1)
-
-    def test_latency_from_spec(self):
-        model = DramModel(DramSpec())
-        assert model.latency_s == pytest.approx(80e-9)
 
 
 class TestArbiterBasics:

@@ -3,7 +3,7 @@
 The fast engine's contract is *bit-identical* behaviour to the
 reference loop, its oracle; the unit tests here pin the individual
 semantics (LRU, CAT confinement, prefetch accounting, stream
-re-branding, lazy CLOS errors), the state digest and sampling.
+re-branding, lazy CLOS errors) and the state digest.
 Equivalence with the oracle on random traces lives in
 ``test_hardware_fastcache_properties.py``.
 """
@@ -12,14 +12,10 @@ import numpy as np
 import pytest
 
 from repro.config import CacheSpec, SystemSpec
-from repro.errors import CatError, ConfigError
+from repro.errors import CatError
 from repro.hardware.cache import SetAssociativeCache, cache_state_digest
 from repro.hardware.cat import CatController
-from repro.hardware.fastcache import (
-    FastSetAssociativeCache,
-    SamplingPlan,
-    replay_sampled,
-)
+from repro.hardware.fastcache import FastSetAssociativeCache
 from repro.units import KiB
 
 LINE = 64
@@ -218,34 +214,3 @@ class TestEngineSelection:
             cache.access_batch(addrs, stream="s")
         assert cache_state_digest(caches[0]) == \
             cache_state_digest(caches[1])
-
-
-class TestSampling:
-    def test_plan_validation(self):
-        with pytest.raises(ConfigError):
-            SamplingPlan(window=0)
-        with pytest.raises(ConfigError):
-            SamplingPlan(window=10, period=0)
-        with pytest.raises(ConfigError):
-            SamplingPlan(window=10, warmup_fraction=1.5)
-
-    def test_sampled_replay_measures_subset(self, tiny_cache_spec):
-        cache = FastSetAssociativeCache(tiny_cache_spec)
-        addrs = np.tile(np.arange(8) * LINE, 100)  # 800 accesses
-        plan = SamplingPlan(window=100, period=2, warmup_fraction=0.5)
-        measured, info = replay_sampled(cache, addrs, plan)
-        assert info["windows"] == 8
-        assert info["simulated_windows"] == 4
-        assert measured.accesses == 4 * 50  # warmup half discarded
-        # A tiny working set over a warm cache: measured slices hit.
-        assert measured.hits == measured.accesses
-
-    def test_sampling_deterministic_across_engines(self, tiny_cache_spec):
-        results = []
-        for cls in (SetAssociativeCache, FastSetAssociativeCache):
-            cache = cls(tiny_cache_spec)
-            addrs = (np.arange(600) % 96) * LINE
-            plan = SamplingPlan(window=64, period=3)
-            measured, info = replay_sampled(cache, addrs, plan)
-            results.append((vars(measured), info))
-        assert results[0] == results[1]

@@ -1,5 +1,8 @@
 """Sanity tests for the top-level public API."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,18 @@ import repro
 
 class TestExports:
     def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        """Every name in ``repro.__all__`` and in each subpackage's
+        ``__all__`` exists, so no deleted symbol lingers in an export
+        list."""
+        packages = [repro] + [
+            importlib.import_module(f"repro.{info.name}")
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        ]
+        assert len(packages) > 10
+        for package in packages:
+            for name in package.__all__:
+                assert hasattr(package, name), (package.__name__, name)
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"

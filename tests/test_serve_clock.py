@@ -1,9 +1,9 @@
-"""Tests for the simulation clocks."""
+"""Tests for the simulation clock."""
 
 import pytest
 
 from repro.errors import ServeError
-from repro.serve.clock import SimulatedClock, TickingClock
+from repro.serve.clock import SimulatedClock
 
 
 class TestSimulatedClock:
@@ -35,19 +35,3 @@ class TestSimulatedClock:
         # Reading never advances: the event loop owns time.
         assert clock() == clock() == 3.25
 
-
-class TestTickingClock:
-    def test_advances_per_reading(self):
-        clock = TickingClock(step=0.5)
-        assert (clock(), clock(), clock()) == (0.0, 0.5, 1.0)
-
-    def test_custom_start(self):
-        clock = TickingClock(step=1.0, start=10.0)
-        assert clock() == 10.0
-        assert clock() == 11.0
-
-    def test_validation(self):
-        with pytest.raises(ServeError):
-            TickingClock(step=0.0)
-        with pytest.raises(ServeError):
-            TickingClock(step=1.0, start=-0.1)
