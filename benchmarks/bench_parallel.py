@@ -5,7 +5,7 @@ Measures the figure suite (every ``run all --fast`` experiment except
 that the vectorized trace engine replays it in about a second) under
 four schedules:
 
-* sequential, cache disabled — the pre-parallel baseline,
+* sequential, in-memory simulation cache only (no disk layer),
 * experiment-level fan-out across 4 worker processes,
 * sequential against a cold on-disk simulation cache,
 * sequential against the warm cache (every solve already stored).
@@ -21,15 +21,16 @@ Assertions:
   with host speed.  The suite's time is mostly ``ext-cluster``,
   ``ext-service``, ``ext-planner`` and ``ext-defense``, which never
   touch the ``simulate()`` cache, so a host-time speedup over the
-  uncached run says little about the cache,
+  in-memory run says little about the disk layer,
 * 4 jobs are >= 2x faster than sequential — asserted only on machines
   with >= 4 CPUs; on smaller hosts process parallelism cannot beat
   sequential execution and the measurement is recorded without the
   assertion.
 
 Every passing run appends one record to ``BENCH_parallel.json`` at the
-repo root (a failing run leaves it alone): host times, the warm/uncached ratio (recorded, not gated) and
-the cache counts of the cold and warm passes.
+repo root (a failing run leaves it alone): host times, the
+warm/in-memory ratio ``warm_speedup`` (recorded, not gated) and the
+cache counts of the cold and warm passes.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ TRAJECTORY = pathlib.Path(__file__).resolve().parent.parent / (
 )
 
 
-def _run_sequential(cache_enabled: bool, disk_dir=None) -> tuple[
+def _run_sequential(disk_dir=None) -> tuple[
     float, dict[str, str], dict[str, int]
 ]:
     """Wall time, per-experiment stdout and simulation-cache counts of
@@ -74,9 +75,7 @@ def _run_sequential(cache_enabled: bool, disk_dir=None) -> tuple[
     outputs: dict[str, str] = {}
     started = time.perf_counter()
     with observing(NULL_TRACER) as (_, metrics):
-        with parallel_context(
-            jobs=1, cache_enabled=cache_enabled, disk_dir=disk_dir
-        ):
+        with parallel_context(jobs=1, disk_dir=disk_dir):
             for name in NAMES:
                 stream = io.StringIO()
                 with redirect_stdout(stream):
@@ -94,10 +93,10 @@ def _run_parallel(jobs: int) -> tuple[float, dict[str, str]]:
     """Wall time + per-experiment stdout of the fan-out schedule."""
     outputs: dict[str, str] = {}
     started = time.perf_counter()
-    with parallel_context(jobs=jobs, cache_enabled=False) as context:
+    with parallel_context(jobs=jobs) as context:
         pool = context.pool()
         futures = [
-            pool.submit(run_experiment_task, name, True, False, False)
+            pool.submit(run_experiment_task, name, True, False)
             for name in NAMES
         ]
         for name, future in zip(NAMES, futures):
@@ -125,14 +124,10 @@ def _append_trajectory(record: dict) -> None:
 def test_parallel_and_cache_speedups(tmp_path):
     cpus = os.cpu_count() or 1
 
-    sequential_s, sequential_out, _ = _run_sequential(cache_enabled=False)
+    sequential_s, sequential_out, _ = _run_sequential()
     parallel_s, parallel_out = _run_parallel(PARALLEL_JOBS)
-    cold_s, cold_out, cold = _run_sequential(
-        cache_enabled=True, disk_dir=tmp_path
-    )
-    warm_s, warm_out, warm = _run_sequential(
-        cache_enabled=True, disk_dir=tmp_path
-    )
+    cold_s, cold_out, cold = _run_sequential(disk_dir=tmp_path)
+    warm_s, warm_out, warm = _run_sequential(disk_dir=tmp_path)
 
     # Determinism: every schedule prints the sequential tables.
     assert parallel_out == sequential_out
@@ -191,13 +186,13 @@ def test_parallel_and_cache_speedups(tmp_path):
 def test_point_level_fanout_matches_sequential():
     """Single-experiment --jobs: sweep points fan out, rows identical."""
     stream = io.StringIO()
-    with parallel_context(jobs=1, cache_enabled=False):
+    with parallel_context(jobs=1):
         with redirect_stdout(stream):
             EXPERIMENTS["fig9"][0](fast=True)
     sequential = stream.getvalue()
 
     stream = io.StringIO()
-    with parallel_context(jobs=2, cache_enabled=False):
+    with parallel_context(jobs=2):
         with redirect_stdout(stream):
             EXPERIMENTS["fig9"][0](fast=True)
     assert stream.getvalue() == sequential

@@ -151,10 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the simulation cache (recompute every solve)",
-    )
-    run.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help=(
             "persist the simulation cache under DIR (e.g. runs/cache); "
@@ -592,9 +588,7 @@ def _run_parallel(names: list[str], args: argparse.Namespace) -> None:
     """
     observe = args.json or args.trace
     with parallel_context(
-        jobs=args.jobs,
-        cache_enabled=not args.no_cache,
-        disk_dir=args.cache_dir,
+        jobs=args.jobs, disk_dir=args.cache_dir
     ) as context:
         pool = context.pool()
         futures = [
@@ -603,7 +597,6 @@ def _run_parallel(names: list[str], args: argparse.Namespace) -> None:
                 name,
                 args.fast,
                 observe,
-                not args.no_cache,
                 args.cache_dir,
                 args.seed,
             )
@@ -884,11 +877,7 @@ def main(argv: list[str] | None = None) -> int:
             _run_parallel(names, args)
             return 0
 
-        with parallel_context(
-            jobs=args.jobs,
-            cache_enabled=not args.no_cache,
-            disk_dir=args.cache_dir,
-        ):
+        with parallel_context(jobs=args.jobs, disk_dir=args.cache_dir):
             for index, name in enumerate(names):
                 if index:
                     print()

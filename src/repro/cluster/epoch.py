@@ -93,10 +93,10 @@ def replay_node_task(payload: dict) -> dict:
     spans = metrics = None
     # A sequential context: a forked worker inherits the parent's
     # parallel context (broken pool handles included), and nested
-    # pools are never created (see repro.parallel.executor).  Caching
-    # configuration (simcache disk layer included) passes through, so
-    # worker-side solves share the caller's storage.
-    with parallel_context(jobs=1, **payload["context"]):
+    # pools are never created (see repro.parallel.executor).  The
+    # simcache disk layer passes through, so worker-side solves share
+    # the caller's storage.
+    with parallel_context(jobs=1, disk_dir=payload["disk_dir"]):
         if payload["observe"]:
             with observing() as (tracer, registry):
                 replay_inbox(node, payload["inbox"])

@@ -1167,17 +1167,11 @@ class Cluster:
         metrics.counter("cluster.parallel.tasks").inc(nodes)
         observe = runtime.tracer.enabled or metrics.enabled
         run_seed = seeding.get_seed()
-        # Inherit the ambient caching configuration (including a
-        # configured simcache disk layer) so worker-side solves share
-        # whatever storage the caller set up.
-        ambient = parallel_executor.current()
-        context_settings = {
-            "cache_enabled": ambient.cache_enabled,
-            "disk_dir": ambient.disk_dir,
-            "capacity": ambient.capacity,
-        }
+        # Inherit the ambient simcache disk layer so worker-side solves
+        # share whatever storage the caller set up.
+        disk_dir = parallel_executor.current().disk_dir
         with parallel_executor.parallel_context(
-            jobs=jobs, **context_settings
+            jobs=jobs, disk_dir=disk_dir
         ) as context:
             pool = context.pool()
             for start in range(0, nodes, jobs):
@@ -1191,7 +1185,7 @@ class Cluster:
                         "inbox": self._inboxes[index],
                         "run_seed": run_seed,
                         "observe": observe,
-                        "context": context_settings,
+                        "disk_dir": disk_dir,
                     }))
                 for index, future in zip(wave, futures):
                     payload = future.result()

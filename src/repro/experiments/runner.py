@@ -23,7 +23,6 @@ from ..model.calibration import DEFAULT_CALIBRATION, Calibration
 from ..model.simulator import QueryResult
 from ..model.streams import AccessProfile
 from ..obs import runtime
-from ..parallel import executor as parallel
 from ..resctrl.filesystem import ResctrlFilesystem
 from ..resctrl.interface import ResctrlInterface
 from ..workloads.mixed import (
@@ -209,49 +208,23 @@ class ExperimentRunner:
         second_cores: int | None = None,
     ) -> ConcurrentResult:
         """Run two queries concurrently with optional CAT masks."""
-        with runtime.tracer.span(
-            "pair", first=first.name, second=second.name
-        ):
-            self._associate_workers(first_mask, second_mask)
-            outcome = self.experiment.concurrent(
-                [
-                    WorkloadQuery(
-                        first.name, first, first_mask, first_cores
-                    ),
-                    WorkloadQuery(
-                        second.name, second, second_mask, second_cores
-                    ),
-                ]
-            )
-        self._record_counters(outcome)
-        return outcome
+        return self.pair_batch([PairRequest(
+            first, second, first_mask, second_mask,
+            first_cores, second_cores,
+        )])[0]
 
     def pair_batch(
         self, requests: list[PairRequest]
     ) -> list[ConcurrentResult]:
         """Evaluate many independent pair measurements.
 
-        Sequentially (no process pool installed) this is exactly
-        ``[self.pair(...) for ...]`` — identical spans, counters and
-        controller statistics.  With a pool, all simulations are
-        fanned out first and the engine-integration side (worker
+        All simulations go out as one batch (fanned across the active
+        process pool, if any); the engine-integration side (worker
         association, PCM accumulation) then replays in request order,
         so the association sequence the compare-before-set controller
-        sees — and therefore its elision statistics — match the
-        sequential schedule.
+        sees — and therefore its elision statistics — never depends on
+        the schedule.
         """
-        if parallel.current_pool() is None:
-            return [
-                self.pair(
-                    request.first,
-                    request.second,
-                    first_mask=request.first_mask,
-                    second_mask=request.second_mask,
-                    first_cores=request.first_cores,
-                    second_cores=request.second_cores,
-                )
-                for request in requests
-            ]
         outcomes = self.experiment.concurrent_batch(
             [request.queries() for request in requests]
         )
@@ -272,13 +245,12 @@ class ExperimentRunner:
     ) -> tuple[QueryResult, list[QueryResult]]:
         """Full-cache baseline plus one isolated point per way count.
 
-        The common shape of Figs. 4-6: points are independent, so they
-        fan out across the pool; the returned list preserves
-        ``ways_sequence`` order.
+        The common shape of Figs. 4-6, evaluated as one batch; the
+        returned list preserves ``ways_sequence`` order.
         """
-        baseline = self.experiment.isolated(profile)
-        points = self.experiment.isolated_batch(
-            [
+        baseline, *points = self.experiment.isolated_batch(
+            [(profile, None, None)]
+            + [
                 (profile, self.mask_for_ways(ways), None)
                 for ways in ways_sequence
             ]

@@ -3,8 +3,7 @@
 Mirrors :mod:`repro.obs.runtime`: code that *could* fan out never holds
 a pool reference — it asks this module for the currently installed
 :class:`ParallelContext`.  The default context is sequential (one job,
-in-memory caching only), so the library behaves exactly like the
-pre-parallel code unless a scope opts in::
+in-memory caching only); a scope opts in to workers and a disk cache::
 
     with parallel_context(jobs=4, disk_dir="runs/cache"):
         fig09_scan_agg.run(fast=True)   # sweep points fan out
@@ -14,10 +13,12 @@ Two levels of fan-out share the one pool:
 * **experiment-level** — the CLI maps whole experiments onto the pool
   when several were requested (``run all --jobs 4``); each worker runs
   its experiment sequentially,
-* **point-level** — inside a single experiment, the batch APIs
+* **point-level** — inside a single experiment, every solve goes
+  through :func:`repro.parallel.simcache.evaluate`, which ships a
+  batch's independent cache misses to the pool.  The batch APIs
   (:meth:`ExperimentRunner.pair_batch`,
-  :meth:`ConcurrencyExperiment.isolated_batch`) ship independent
-  simulate() calls to the pool.
+  :meth:`ConcurrencyExperiment.isolated_batch`) are the only solve
+  path, with or without a pool, so the pool changes wall time only.
 
 Nested pools are never created: a worker process installs a sequential
 context before running its experiment.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .simcache import DEFAULT_CAPACITY, SimulationCache
+from .simcache import SimulationCache
 
 
 def _init_worker(parent_sys_path: list[str]) -> None:
@@ -53,9 +54,7 @@ class ParallelContext:
     """The currently requested parallelism/caching configuration."""
 
     jobs: int = 1
-    cache_enabled: bool = True
     disk_dir: Path | None = None
-    capacity: int = DEFAULT_CAPACITY
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -68,8 +67,8 @@ class ParallelContext:
     def parallel(self) -> bool:
         return self.jobs > 1
 
-    def new_cache(self) -> SimulationCache | None:
-        """A cache instance honouring this context's configuration.
+    def new_cache(self) -> SimulationCache:
+        """A cache instance over this context's disk layer (if any).
 
         Each :class:`~repro.workloads.mixed.ConcurrencyExperiment`
         builds its own (fresh in-memory layer per experiment — the
@@ -77,9 +76,7 @@ class ParallelContext:
         experiments run sequentially or on worker processes); the disk
         layer, when configured, is shared through the filesystem.
         """
-        if not self.cache_enabled:
-            return None
-        return SimulationCache(self.capacity, disk_dir=self.disk_dir)
+        return SimulationCache(disk_dir=self.disk_dir)
 
     def pool(self) -> ProcessPoolExecutor | None:
         """The shared process pool (created lazily; None when jobs=1)."""
@@ -116,9 +113,7 @@ def current_pool() -> ProcessPoolExecutor | None:
 @contextmanager
 def parallel_context(
     jobs: int = 1,
-    cache_enabled: bool = True,
     disk_dir: str | Path | None = None,
-    capacity: int = DEFAULT_CAPACITY,
 ) -> Iterator[ParallelContext]:
     """Install a context for the duration of a ``with`` block.
 
@@ -126,12 +121,7 @@ def parallel_context(
     previous context restored, so scopes compose like ``observing()``.
     """
     global _current
-    context = ParallelContext(
-        jobs=jobs,
-        cache_enabled=cache_enabled,
-        disk_dir=Path(disk_dir) if disk_dir is not None else None,
-        capacity=capacity,
-    )
+    context = ParallelContext(jobs=jobs, disk_dir=disk_dir)
     previous = _current
     _current = context
     try:

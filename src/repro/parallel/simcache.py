@@ -7,7 +7,13 @@ on — the :class:`~repro.config.SystemSpec`, the
 :class:`~repro.model.calibration.Calibration`, the
 :class:`~repro.model.simulator.QuerySpec` list (profiles, core counts,
 CAT masks) and the solver parameters — so two requests with equal
-content produce byte-identical results and may share one solve.
+content produce byte-identical results and may share one solve.  It
+is the only way an experiment solves the model: every request of a
+:class:`~repro.workloads.mixed.ConcurrencyExperiment` — concurrent
+workloads and the isolated baselines that normalize them alike — goes
+through it, with or without a process pool.  The cache is therefore the
+only memo of those solves, and :meth:`SimulationRequest.solve` is the
+reference every cached result must equal.
 
 The cache key is the SHA-256 of the request's canonical JSON form
 (dataclasses flattened with ``sort_keys=True``; floats serialized via
@@ -24,7 +30,8 @@ Two layers sit behind one :class:`SimulationCache` facade:
 * an optional on-disk layer under ``<dir>/v<KEY_SCHEMA>/<key>.json``
   (shared across runs — a warm rerun of a figure suite skips every
   solve).  Files are written atomically (temp file + ``os.replace``)
-  so concurrent worker processes never observe torn entries.
+  so concurrent worker processes never observe torn entries; an entry
+  that is unreadable or not one this schema wrote reads as a miss.
 
 Cache traffic is published as ``sim.cache.*`` counters on the current
 metrics registry (hits / disk_hits / misses / stores / evictions).
@@ -156,17 +163,24 @@ class SimulationCache:
             runtime.metrics.counter("sim.cache.hits").inc()
             return payload
         path = self._disk_path(key)
-        if path is not None and path.exists():
-            try:
-                stored = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                return None  # torn/corrupt entry: treat as a miss
-            if stored.get("key_schema") == KEY_SCHEMA:
-                payload = stored["results"]
-                runtime.metrics.counter("sim.cache.disk_hits").inc()
-                self._store_memory(key, payload)
-                return payload
-        return None
+        if path is None or not path.exists():
+            return None
+        try:
+            stored = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            # Unreadable, not UTF-8 or torn JSON (UnicodeDecodeError
+            # and JSONDecodeError are ValueErrors): a miss.
+            return None
+        if (
+            not isinstance(stored, dict)
+            or stored.get("key_schema") != KEY_SCHEMA
+            or not isinstance(stored.get("results"), dict)
+        ):
+            return None  # not an entry this schema wrote: a miss
+        payload = stored["results"]
+        runtime.metrics.counter("sim.cache.disk_hits").inc()
+        self._store_memory(key, payload)
+        return payload
 
     def put(self, key: str, payload: dict) -> None:
         """Store a result payload in both layers."""
@@ -226,7 +240,7 @@ def solve_request(request: SimulationRequest) -> dict:
 
 def evaluate(
     requests: list[SimulationRequest],
-    cache: SimulationCache | None = None,
+    cache: SimulationCache,
     pool=None,
 ) -> list[dict[str, QueryResult]]:
     """Evaluate requests through the cache, fanning misses out.
@@ -236,22 +250,11 @@ def evaluate(
     * results are returned in request order, decoded to fresh objects,
     * lookups are counted in request order, so a duplicate of an
       earlier miss is a hit exactly as it would be sequentially,
-    * with a process ``pool``, only *unique* misses are submitted (one
-      solve per content key — the same set of solves the sequential
-      path performs against a warm in-run cache) and worker
-      observability is merged back in submission order.
-
-    With ``cache=None`` nothing is deduplicated: every request is
-    solved, mirroring the pre-cache code path exactly.
+    * only *unique* misses are solved (one solve per content key),
+      on the process ``pool`` when one is given and more than one
+      miss is pending, and worker observability is merged back in
+      submission order.
     """
-    if cache is None:
-        if pool is None:
-            return [request.solve() for request in requests]
-        payloads = list(pool.map(solve_request, requests))
-        for payload in payloads:
-            runtime.merge_worker(payload)
-        return [decode_results(p["results"]) for p in payloads]
-
     keys = [request.key() for request in requests]
     resolved: dict[str, dict] = {}
     pending: list[tuple[str, SimulationRequest]] = []

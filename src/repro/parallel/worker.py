@@ -20,7 +20,6 @@ import io
 import os
 import time
 from contextlib import redirect_stdout
-from pathlib import Path
 
 from ..obs.runtime import observing
 from .executor import parallel_context
@@ -30,7 +29,6 @@ def run_experiment_task(
     name: str,
     fast: bool,
     observe: bool,
-    cache_enabled: bool = True,
     disk_dir: str | None = None,
     seed: int | None = None,
 ) -> dict:
@@ -48,11 +46,7 @@ def run_experiment_task(
     stdout = io.StringIO()
     spans = None
     metrics_snapshot = None
-    with parallel_context(
-        jobs=1,
-        cache_enabled=cache_enabled,
-        disk_dir=Path(disk_dir) if disk_dir is not None else None,
-    ):
+    with parallel_context(jobs=1, disk_dir=disk_dir):
         with redirect_stdout(stdout):
             if observe:
                 with observing() as (tracer, metrics):

@@ -33,8 +33,3 @@ class SimulatedClock:
             )
         self._now = float(timestamp)
         return self._now
-
-    def __call__(self) -> float:
-        """Read the clock (``time.perf_counter`` shape)."""
-        return self._now
-

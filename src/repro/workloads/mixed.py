@@ -62,12 +62,12 @@ class ConcurrencyExperiment:
         self.spec = spec if spec is not None else SystemSpec()
         self.calibration = calibration
         self.simulator = WorkloadSimulator(self.spec, calibration)
-        self._isolated_cache: dict[str, float] = {}
-        # Content-addressed simulate() cache, configured by the active
-        # parallel context.  A fresh in-memory layer per experiment
-        # keeps the hit/miss pattern of a figure identical whether it
-        # runs inline or on a pool worker; the optional disk layer is
-        # shared across runs.
+        # Content-addressed simulate() cache, the one memo of every
+        # solve here (isolated baselines included).  A fresh in-memory
+        # layer per experiment keeps the hit/miss pattern of a figure
+        # identical whether it runs inline or on a pool worker; the
+        # optional disk layer of the active parallel context is shared
+        # across runs.
         self.sim_cache = parallel_executor.current().new_cache()
 
     # ------------------------------------------------------------------
@@ -83,20 +83,18 @@ class ConcurrencyExperiment:
         )
 
     def _evaluate(
-        self, batches: list[list[QuerySpec]], fan_out: bool = False
+        self, batches: list[list[QuerySpec]]
     ) -> list[dict[str, QueryResult]]:
         """Evaluate simulate() batches through the cache.
 
-        ``fan_out=True`` additionally ships cache misses to the active
-        process pool (when one is installed); the batch APIs use it for
-        independent sweep points.  Results always come back in batch
-        order, decoded to fresh objects.
+        Cache misses fan out to the active process pool when one is
+        installed.  Results always come back in batch order, decoded
+        to fresh objects, so the schedule never shows in them.
         """
-        pool = parallel_executor.current_pool() if fan_out else None
         return evaluate(
             [self._request(specs) for specs in batches],
             cache=self.sim_cache,
-            pool=pool,
+            pool=parallel_executor.current_pool(),
         )
 
     def isolated(
@@ -106,9 +104,7 @@ class ConcurrencyExperiment:
         cores: int | None = None,
     ) -> QueryResult:
         """Run one query alone (full machine unless overridden)."""
-        spec = self._isolated_spec(profile, mask, cores)
-        with runtime.tracer.span("isolated", query=profile.name):
-            return self._evaluate([[spec]])[0][profile.name]
+        return self.isolated_batch([(profile, mask, cores)])[0]
 
     def _isolated_spec(
         self,
@@ -127,43 +123,17 @@ class ConcurrencyExperiment:
         self,
         requests: list[tuple[AccessProfile, int | None, int | None]],
     ) -> list[QueryResult]:
-        """Evaluate many isolated (profile, mask, cores) points.
-
-        Sequentially this is exactly ``[self.isolated(*r) for r in
-        requests]``; with a process pool installed, cache misses fan
-        out across workers.  Results preserve request order.
-        """
-        pool = parallel_executor.current_pool()
-        if pool is None:
-            return [
-                self.isolated(profile, mask, cores)
-                for profile, mask, cores in requests
-            ]
-        batches = [
+        """Evaluate many isolated (profile, mask, cores) points in one
+        batch; results preserve request order."""
+        outcomes = self._evaluate([
             [self._isolated_spec(profile, mask, cores)]
             for profile, mask, cores in requests
-        ]
-        outcomes = self._evaluate(batches, fan_out=True)
+        ])
         results = []
         for (profile, _, _), outcome in zip(requests, outcomes):
             with runtime.tracer.span("isolated", query=profile.name):
                 results.append(outcome[profile.name])
         return results
-
-    @staticmethod
-    def _baseline_key(profile: AccessProfile, cores: int | None) -> str:
-        return f"{profile.name}/{cores}/{hash(profile)}"
-
-    def isolated_throughput(
-        self, profile: AccessProfile, cores: int | None = None
-    ) -> float:
-        """Cached isolated full-cache throughput (the paper's baseline)."""
-        key = self._baseline_key(profile, cores)
-        if key not in self._isolated_cache:
-            self._isolated_cache[key] = self.isolated(
-                profile, cores=cores
-            ).throughput_tuples_per_s
-        return self._isolated_cache[key]
 
     # ------------------------------------------------------------------
 
@@ -185,14 +155,15 @@ class ConcurrencyExperiment:
             raise WorkloadError(
                 f"ways must lie in [1, {total_ways}]: {ways_list}"
             )
-        baseline = self.isolated_throughput(profile)
         ways_sequence = sorted(set(ways_list))
-        results = self.isolated_batch(
-            [(profile, (1 << ways) - 1, None) for ways in ways_sequence]
+        baseline, *results = self.isolated_batch(
+            [(profile, None, None)]
+            + [(profile, (1 << ways) - 1, None) for ways in ways_sequence]
         )
         return [
             (ways / total_ways,
-             result.throughput_tuples_per_s / baseline)
+             result.throughput_tuples_per_s
+             / baseline.throughput_tuples_per_s)
             for ways, result in zip(ways_sequence, results)
         ]
 
@@ -200,61 +171,42 @@ class ConcurrencyExperiment:
 
     def concurrent(self, queries: list[WorkloadQuery]) -> ConcurrentResult:
         """Run queries concurrently; normalize each to its isolated run."""
-        specs = self._concurrent_specs(queries)
-        with runtime.tracer.span("concurrent"):
-            results = self._evaluate([specs])[0]
-            return self._assemble(queries, specs, results)
+        return self.concurrent_batch([queries])[0]
 
     def concurrent_batch(
         self, batches: list[list[WorkloadQuery]]
     ) -> list[ConcurrentResult]:
         """Evaluate many independent concurrent workloads.
 
-        Sequentially this is exactly ``[self.concurrent(b) for b in
-        batches]``.  With a process pool installed, the concurrent
-        solves *and* the isolated-baseline solves needed for
-        normalization are all submitted in one wave; assembly then
-        runs in batch order, so results — and every downstream figure
-        row — are identical to the sequential schedule.
+        The concurrent solves and the isolated-baseline solves that
+        normalize them go out as one batch, baselines after the
+        workloads.  The cache solves each distinct request once, so a
+        baseline shared by several workloads costs one solve and the
+        rest are hits.  Assembly runs in batch order.
         """
-        pool = parallel_executor.current_pool()
-        if pool is None:
-            return [self.concurrent(batch) for batch in batches]
-
         spec_lists = [self._concurrent_specs(batch) for batch in batches]
-        # Baselines not yet memoized, deduplicated in first-use order
-        # (the same order the sequential loop would solve them in).
-        baseline_batches: list[list[QuerySpec]] = []
-        baseline_keys: list[str] = []
-        seen: set[str] = set()
-        for batch, specs in zip(batches, spec_lists):
-            for query, spec in zip(batch, specs):
-                key = self._baseline_key(spec.profile, query.cores)
-                if key in self._isolated_cache or key in seen:
-                    continue
-                seen.add(key)
-                baseline_keys.append(key)
-                baseline_batches.append(
-                    [self._isolated_spec(spec.profile, cores=query.cores)]
-                )
-        outcomes = self._evaluate(
-            spec_lists + baseline_batches, fan_out=True
-        )
-        for key, batch_specs, outcome in zip(
-            baseline_keys,
-            baseline_batches,
-            outcomes[len(spec_lists):],
-        ):
-            name = batch_specs[0].name
-            self._isolated_cache[key] = outcome[
-                name
-            ].throughput_tuples_per_s
+        baselines = [
+            [self._isolated_spec(spec.profile, cores=query.cores)]
+            for batch, specs in zip(batches, spec_lists)
+            for query, spec in zip(batch, specs)
+        ]
+        outcomes = self._evaluate(spec_lists + baselines)
+        isolated = iter(outcomes[len(spec_lists):])
         results = []
-        for batch, specs, outcome in zip(
-            batches, spec_lists, outcomes[: len(spec_lists)]
-        ):
+        for batch, specs, outcome in zip(batches, spec_lists, outcomes):
             with runtime.tracer.span("concurrent"):
-                results.append(self._assemble(batch, specs, outcome))
+                normalized = {}
+                for query, spec in zip(batch, specs):
+                    baseline = next(isolated)[spec.name]
+                    normalized[query.name] = (
+                        outcome[query.name].throughput_tuples_per_s
+                        / baseline.throughput_tuples_per_s
+                    )
+                results.append(ConcurrentResult(
+                    results=outcome,
+                    normalized=normalized,
+                    counters=system_counters(outcome),
+                ))
         return results
 
     def _concurrent_specs(
@@ -286,23 +238,3 @@ class ConcurrencyExperiment:
                 )
             )
         return specs
-
-    def _assemble(
-        self,
-        queries: list[WorkloadQuery],
-        specs: list[QuerySpec],
-        results: dict[str, QueryResult],
-    ) -> ConcurrentResult:
-        normalized = {}
-        for query, spec in zip(queries, specs):
-            baseline = self.isolated_throughput(
-                spec.profile, cores=query.cores
-            )
-            normalized[query.name] = (
-                results[query.name].throughput_tuples_per_s / baseline
-            )
-        return ConcurrentResult(
-            results=results,
-            normalized=normalized,
-            counters=system_counters(results),
-        )

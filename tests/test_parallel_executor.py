@@ -45,7 +45,7 @@ def _run_figure(name: str, jobs: int) -> tuple[str, object, dict]:
     from repro.cli import EXPERIMENTS
 
     stream = io.StringIO()
-    with parallel_context(jobs=jobs, cache_enabled=False):
+    with parallel_context(jobs=jobs):
         with observing() as (tracer, metrics):
             with redirect_stdout(stream):
                 figure = EXPERIMENTS[name][0](fast=True)
@@ -91,10 +91,6 @@ class TestContext:
         with pytest.raises(RuntimeError):
             pool.submit(abs, -3)
 
-    def test_cache_disabled_yields_none(self):
-        with parallel_context(jobs=1, cache_enabled=False) as context:
-            assert context.new_cache() is None
-
     def test_cache_enabled_yields_fresh_instances(self, tmp_path):
         with parallel_context(jobs=1, disk_dir=tmp_path) as context:
             first = context.new_cache()
@@ -105,9 +101,7 @@ class TestContext:
 
 class TestWorkerTask:
     def test_payload_matches_inline_run(self):
-        payload = run_experiment_task(
-            "fig4", fast=True, observe=True, cache_enabled=False
-        )
+        payload = run_experiment_task("fig4", fast=True, observe=True)
         stdout, figure, _ = _run_figure("fig4", jobs=1)
         assert payload["name"] == "fig4"
         assert payload["stdout"] == stdout
@@ -117,9 +111,7 @@ class TestWorkerTask:
         assert payload["seconds"] > 0
 
     def test_unobserved_payload_has_no_spans(self):
-        payload = run_experiment_task(
-            "fig1", fast=True, observe=False, cache_enabled=False
-        )
+        payload = run_experiment_task("fig1", fast=True, observe=False)
         assert payload["spans"] is None
         assert payload["metrics"] is None
         assert payload["figure"] is not None
@@ -137,16 +129,6 @@ class TestPointLevelDeterminism:
         assert par_fig.notes == seq_fig.notes
         assert par_counters == seq_counters
 
-    def test_cached_run_matches_uncached_rows(self):
-        _, uncached, _ = _run_figure("fig5", jobs=1)
-        stream = io.StringIO()
-        with parallel_context(jobs=1, cache_enabled=True):
-            from repro.cli import EXPERIMENTS
-
-            with redirect_stdout(stream):
-                cached = EXPERIMENTS["fig5"][0](fast=True)
-        assert cached.rows == uncached.rows
-
 
 class TestExperimentLevelDeterminism:
     """``run all --jobs N``: whole experiments fan out."""
@@ -160,12 +142,10 @@ class TestExperimentLevelDeterminism:
         sequential = {
             name: _run_figure(name, jobs=1) for name in self.NAMES
         }
-        with parallel_context(jobs=4, cache_enabled=False) as context:
+        with parallel_context(jobs=4) as context:
             pool = context.pool()
             futures = [
-                pool.submit(
-                    run_experiment_task, name, True, True, False
-                )
+                pool.submit(run_experiment_task, name, True, True)
                 for name in self.NAMES
             ]
             payloads = [future.result() for future in futures]
@@ -182,12 +162,10 @@ class TestExperimentLevelDeterminism:
             for counter, value in counters.items():
                 totals.counter(counter).inc(value)
         merged = MetricsRegistry()
-        with parallel_context(jobs=4, cache_enabled=False) as context:
+        with parallel_context(jobs=4) as context:
             pool = context.pool()
             futures = [
-                pool.submit(
-                    run_experiment_task, name, True, True, False
-                )
+                pool.submit(run_experiment_task, name, True, True)
                 for name in self.NAMES
             ]
             for future in futures:

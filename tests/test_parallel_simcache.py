@@ -1,6 +1,8 @@
 """Tests for the content-addressed simulation cache."""
 
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -163,6 +165,18 @@ class TestDiskLayer:
         path.write_text("{ torn write", encoding="utf-8")
         assert cache.get("deadbeef") is None
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"[]", b"null", b'{"key_schema": %d}' % KEY_SCHEMA, b"\xff\xfe"],
+        ids=["list", "null", "no-results", "not-utf8"],
+    )
+    def test_malformed_entry_is_a_miss(self, tmp_path, content):
+        cache = SimulationCache(capacity=4, disk_dir=tmp_path)
+        path = tmp_path / f"v{KEY_SCHEMA}" / "deadbeef.json"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(content)
+        assert cache.get("deadbeef") is None
+
     def test_disk_hit_promotes_to_memory(self, tmp_path):
         registry = MetricsRegistry()
         install(new_metrics=registry)
@@ -201,21 +215,6 @@ class TestEvaluate:
         finally:
             reset()
 
-    def test_no_cache_disables_dedup(self):
-        registry = MetricsRegistry()
-        install(new_metrics=registry)
-        try:
-            request = _request()
-            first, second = evaluate([request, request], cache=None)
-            assert first == second
-            # The pre-cache code path: two solves, no cache traffic.
-            assert registry.counter("simulator.solves").value == 2
-            assert "sim.cache.misses" not in registry.snapshot()[
-                "counters"
-            ]
-        finally:
-            reset()
-
     def test_warm_cache_skips_solves(self):
         registry = MetricsRegistry()
         install(new_metrics=registry)
@@ -242,3 +241,29 @@ class TestEvaluate:
             outcomes[0][name].throughput_tuples_per_s
             < outcomes[1][name].throughput_tuples_per_s
         )
+
+
+class TestSolverReference:
+    """``SimulationRequest.solve()`` is the oracle of the one path."""
+
+    def test_figure_results_equal_direct_solves(self, monkeypatch):
+        # Every request fig5 and fig9 evaluate — cache hits, in-batch
+        # duplicates and isolated baselines included — must decode to
+        # exactly what a direct solve of that request returns.
+        from repro.cli import EXPERIMENTS
+        from repro.workloads import mixed
+
+        recorded = []
+
+        def recording(requests, cache, pool=None):
+            results = evaluate(requests, cache=cache, pool=pool)
+            recorded.extend(zip(requests, results))
+            return results
+
+        monkeypatch.setattr(mixed, "evaluate", recording)
+        with redirect_stdout(io.StringIO()):
+            for name in ("fig5", "fig9"):
+                EXPERIMENTS[name][0](fast=True)
+        assert len(recorded) > len({r.key() for r, _ in recorded})
+        for request, result in recorded:
+            assert result == request.solve()

@@ -278,7 +278,7 @@ class TestBatchScoring:
         sequential_memo: dict = {}
         sequential = _scorer(sequential_memo).score_many(candidates, rates)
         pooled_memo: dict = {}
-        with parallel_context(jobs=2, cache_enabled=False):
+        with parallel_context(jobs=2):
             pooled = _scorer(pooled_memo).score_many(candidates, rates)
         assert len(pooled_memo) > 1
         assert _exact_rows(pooled) == _exact_rows(sequential)

@@ -10,7 +10,6 @@ class TestSimulatedClock:
     def test_starts_at_zero(self):
         clock = SimulatedClock()
         assert clock.now == 0.0
-        assert clock() == 0.0
 
     def test_advance(self):
         clock = SimulatedClock()
@@ -28,10 +27,3 @@ class TestSimulatedClock:
     def test_negative_start_rejected(self):
         with pytest.raises(ServeError):
             SimulatedClock(start=-1.0)
-
-    def test_callable_matches_now(self):
-        clock = SimulatedClock()
-        clock.advance_to(3.25)
-        # Reading never advances: the event loop owns time.
-        assert clock() == clock() == 3.25
-

@@ -161,11 +161,18 @@ class TestS4HanaCatalog:
 class TestConcurrencyHarness:
     def test_isolated_baseline_cached(self, spec):
         from repro.workloads.mixed import ConcurrencyExperiment
+        from repro.obs import NULL_TRACER, observing
+
         experiment = ConcurrencyExperiment(spec)
         profile = query1().profile()
-        first = experiment.isolated_throughput(profile)
-        second = experiment.isolated_throughput(profile)
+        with observing(NULL_TRACER) as (_, metrics):
+            first = experiment.isolated(profile)
+            second = experiment.isolated(profile)
         assert first == second
+        # The content cache is the baseline memo: one solve, one hit.
+        counters = metrics.snapshot()["counters"]
+        assert counters["simulator.solves"] == 1
+        assert counters["sim.cache.hits"] == 1
 
     def test_concurrent_requires_two(self, spec):
         from repro.workloads.mixed import (
