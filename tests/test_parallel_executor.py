@@ -129,6 +129,20 @@ class TestPointLevelDeterminism:
         assert par_fig.notes == seq_fig.notes
         assert par_counters == seq_counters
 
+    def test_cached_run_matches_uncached_rows(self, monkeypatch):
+        from repro.workloads import mixed
+
+        _, cached, _ = _run_figure("fig5", jobs=1)
+
+        def uncached(requests, cache, pool=None):
+            # The reference: every request solved directly, no memo.
+            return [request.solve() for request in requests]
+
+        monkeypatch.setattr(mixed, "evaluate", uncached)
+        _, reference, counters = _run_figure("fig5", jobs=1)
+        assert "sim.cache.misses" not in counters
+        assert cached.rows == reference.rows
+
 
 class TestExperimentLevelDeterminism:
     """``run all --jobs N``: whole experiments fan out."""

@@ -215,6 +215,25 @@ class TestEvaluate:
         finally:
             reset()
 
+    def test_no_cache_disables_dedup(self):
+        # Without the cache — the direct-solve reference path — a
+        # duplicate is solved again; through the cache it is not.
+        registry = MetricsRegistry()
+        install(new_metrics=registry)
+        try:
+            request = _request()
+            first, second = request.solve(), request.solve()
+            assert first == second
+            assert registry.counter("simulator.solves").value == 2
+            assert "sim.cache.misses" not in registry.snapshot()[
+                "counters"
+            ]
+            deduped = evaluate([request, request], cache=SimulationCache())
+            assert deduped == [first, second]
+            assert registry.counter("simulator.solves").value == 3
+        finally:
+            reset()
+
     def test_warm_cache_skips_solves(self):
         registry = MetricsRegistry()
         install(new_metrics=registry)
